@@ -4,9 +4,10 @@
 //   $ ./bench_fusion --graph [--xl] [--json BENCH_graph.json]
 //
 // --graph switches to the CROSS-LAYER section: conv→relu→pool chains run
-// layer-at-a-time (Sequential: every intermediate round-trips DRAM) vs
-// through graph::Executor (bias/relu/pool folded into the conv epilogues,
-// intermediates lifetime-planned onto one arena slab), reporting wall
+// on graph::Executor twice — unfused (CompileOptions::fusion = false:
+// every bias/relu/pool is its own step, so each intermediate round-trips
+// DRAM) and fused (bias/relu/pool folded into the conv epilogues) — both
+// with intermediates lifetime-planned onto one arena slab, reporting wall
 // time, LLC-miss GB moved per execution, and planned-vs-naive slab bytes.
 // --xl adds batch-1 large-image chains whose unfused intermediates far
 // exceed the LLC — the regime where skipping the unactivated DRAM
@@ -158,7 +159,7 @@ int run_graph_section(bool xl, const std::string& json_path,
   };
   if (xl) {
     // Batch-1 large-image chains: the unfused conv output alone is
-    // 16–18 MB per pass, so layered execution moves it through DRAM three
+    // 16–18 MB per pass, so unfused execution moves it through DRAM three
     // extra times (conv store, relu load+store, pool load) that the fused
     // epilogue never performs.
     chains.push_back(
@@ -171,7 +172,7 @@ int run_graph_section(bool xl, const std::string& json_path,
   Rng rng(2026);
 
   std::printf("== cross-layer fusion: conv->relu->pool chains, "
-              "layered Sequential vs graph::Executor%s ==\n",
+              "graph::Executor unfused vs fused%s ==\n",
               xl ? " (+ XL rows)" : "");
   std::printf("%-9s %-5s %-8s %10s %8s %10s %12s %10s\n", "net", "chain",
               "mode", "ms", "speedup", "act GB/ex", "LLCmiss/ex",
@@ -180,9 +181,14 @@ int run_graph_section(bool xl, const std::string& json_path,
   double log_speedup_sum = 0;
   int chain_count = 0, wins_12 = 0, planned_wins = 0;
 
+  // One thread per plan: both executors of a chain stay alive while the
+  // other is timed, and idle multi-thread pools spinning against the
+  // measured one would time the scheduler, not the schedule.
+  PlanOptions one_thread;
+  one_thread.threads = 1;
   for (const auto& C : chains) {
     const int rank = C.image.rank();
-    Sequential net(C.batch, C.cin, C.image, PlanOptions{});
+    Sequential net(C.batch, C.cin, C.image, one_thread);
     for (int i = 0; i < C.convs; ++i) {
       net.add_conv(C.cout, Dims::filled(rank, 3), Dims::filled(rank, 1),
                    C.tile, /*relu=*/true);
@@ -193,32 +199,36 @@ int run_graph_section(bool xl, const std::string& json_path,
     graph::CompileOptions copts;
     copts.plan = net.plan_options();
     graph::Executor exec(net.to_graph(), copts);
+    graph::CompileOptions unfused_opts = copts;
+    unfused_opts.fusion = false;
+    graph::Executor unfused(net.to_graph(), unfused_opts);
 
     const std::size_t sin =
         static_cast<std::size_t>(net.input_layout().total_floats());
     const std::size_t sout =
         static_cast<std::size_t>(net.output_layout().total_floats());
-    AlignedBuffer<float> in(sin), out_layered(sout), out_graph(sout);
+    AlignedBuffer<float> in(sin), out_unfused(sout), out_graph(sout);
     for (auto& v : in) v = rng.uniform(-1.0f, 1.0f);
 
     // Identity cross-check before timing anything: cross-layer fusion is
     // a scheduling transformation, never a numeric one.
-    net.forward_into(in.data(), out_layered.data());
+    unfused.execute(in.data(), out_unfused.data());
     exec.execute(in.data(), out_graph.data());
-    if (std::memcmp(out_layered.data(), out_graph.data(),
+    if (std::memcmp(out_unfused.data(), out_graph.data(),
                     sout * sizeof(float)) != 0) {
       std::fprintf(stderr,
-                   "FATAL: graph output diverges from Sequential on %s %s\n",
+                   "FATAL: fused graph output diverges from unfused on %s "
+                   "%s\n",
                    C.net, C.name);
       return 1;
     }
 
-    const double gb_layered =
-        step_tensor_gb(exec.graph(), graph::fuse(exec.graph(), false).steps);
+    const double gb_unfused =
+        step_tensor_gb(unfused.graph(), unfused.fusion().steps);
     const double gb_graph = step_tensor_gb(exec.graph(), exec.fusion().steps);
 
     const ModeResult rl = bench_net(
-        [&] { net.forward_into(in.data(), out_layered.data()); }, perf);
+        [&] { unfused.execute(in.data(), out_unfused.data()); }, perf);
     const ModeResult rg = bench_net(
         [&] { exec.execute(in.data(), out_graph.data()); }, perf);
     const double speedup = rl.best_secs / rg.best_secs;
@@ -233,7 +243,7 @@ int run_graph_section(bool xl, const std::string& json_path,
     };
     auto print_mode = [&](const char* mode, const ModeResult& r,
                           double spd) {
-      const double act_gb = spd > 0 ? gb_graph : gb_layered;
+      const double act_gb = spd > 0 ? gb_graph : gb_unfused;
       std::printf("%-9s %-5s %-8s %10.2f %8s %10.4f %12.3e %10.4f\n", C.net,
                   C.name, mode, r.best_secs * 1e3,
                   spd > 0 ? (std::to_string(spd).substr(0, 5) + "x").c_str()
@@ -261,8 +271,8 @@ int run_graph_section(bool xl, const std::string& json_path,
             .set("naive_bytes", static_cast<double>(mp.naive_bytes));
       }
     };
-    print_mode("layered", rl, 0);
-    print_mode("graph", rg, speedup);
+    print_mode("unfused", rl, 0);
+    print_mode("fused", rg, speedup);
     if (rl.perf_valid && rg.perf_valid && rl.llc_miss_per_exec > 0) {
       std::printf("%24s LLC-miss delta %+.1f%%, slab %.2f MB (naive %.2f "
                   "MB), %d nodes folded\n",

@@ -333,8 +333,9 @@ int main(int argc, char** argv) {
     admitted_p99_ms = quantile(admitted_ms, 0.99);
     admitted_queue_p99_ms = quantile(admitted_queue_ms, 0.99);
   }
-  const bool p99_within_slo = admitted_p99_ms <= kSloMs * 1.5 &&
-                              admitted_queue_p99_ms <= kSloMs;
+  // Queue wait is part of every admitted request's time, so the total p99
+  // bounds the queue p99 too: one comparison against the SLO itself.
+  const bool p99_within_slo = admitted_p99_ms <= kSloMs;
 
   // --- teardown ---------------------------------------------------------
   for (BackendProc& b : backends) {

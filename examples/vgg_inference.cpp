@@ -3,13 +3,15 @@
 //   $ ./example_vgg_inference [--full]
 //
 // Builds the convolutional backbone of a VGG-A-like network with the
-// Sequential API: every layer's kernels are transformed once at
-// construction (paper §4.2.1 "Inference only"), bias+ReLU are fused into
-// the inverse-transform stage, activations stay in the blocked layout from
-// end to end, and 2x2 max-pooling runs between stages.
+// Sequential builder and runs it on graph::Executor: every layer's kernels
+// are transformed once at compile time (paper §4.2.1 "Inference only"),
+// bias+ReLU (and the 2x2 max-pools that follow a conv) are fused into the
+// inverse-transform stage, and activations stay in the blocked layout on
+// one planned arena slab from end to end.
 #include <cstdio>
 #include <string>
 
+#include "graph/executor.h"
 #include "net/sequential.h"
 #include "ondwin/ondwin.h"
 #include "util/rng.h"
@@ -41,36 +43,36 @@ int main(int argc, char** argv) {
   Rng rng(7);
   net.randomize_weights(rng);
 
+  graph::Executor exec(net.to_graph());
   std::printf("VGG-style backbone (%s sizes), batch=%lld:\n%s",
               full ? "paper" : "CI", static_cast<long long>(batch),
-              net.summary().c_str());
-  std::printf("workspace: %.1f MiB\n\n",
-              static_cast<double>(net.workspace_bytes()) / (1 << 20));
+              exec.summary().c_str());
+  std::printf("activation arena: %.1f MiB\n\n",
+              static_cast<double>(exec.arena_bytes()) / (1 << 20));
 
   AlignedBuffer<float> input(
-      static_cast<std::size_t>(net.input_layout().total_floats()));
+      static_cast<std::size_t>(exec.input_layout().total_floats()));
+  AlignedBuffer<float> output(
+      static_cast<std::size_t>(exec.output_layout().total_floats()));
   for (auto& v : input) v = rng.uniform(-1.0f, 1.0f);
 
   // Warm-up, then report the best of three forward passes.
-  net.forward(input.data());
+  exec.execute(input.data(), output.data());
   double best = 1e30;
   for (int rep = 0; rep < 3; ++rep) {
-    net.forward(input.data());
-    best = std::min(best, net.last_forward_seconds());
+    exec.execute(input.data(), output.data());
+    best = std::min(best, exec.last_execute_seconds());
   }
-  for (int i = 0; i < net.layer_count(); ++i) {
-    std::printf("  layer %2d: %8.2f ms\n", i, net.layer_seconds(i) * 1e3);
+  for (std::size_t i = 0; i < exec.step_count(); ++i) {
+    std::printf("  step %2zu: %8.2f ms\n", i, exec.step_seconds(i) * 1e3);
   }
   std::printf("backbone total: %.2f ms per batch\n", best * 1e3);
 
-  const float* out = net.forward(input.data());
   double checksum = 0;
-  for (i64 i = 0; i < net.output_layout().total_floats(); ++i) {
-    checksum += out[i];
-  }
+  for (const float v : output) checksum += v;
   std::printf("output %s x %lld channels, activation checksum %.3f\n",
-              net.output_layout().spatial.to_string().c_str(),
-              static_cast<long long>(net.output_layout().channels),
+              exec.output_layout().spatial.to_string().c_str(),
+              static_cast<long long>(exec.output_layout().channels),
               checksum);
   return 0;
 }

@@ -60,7 +60,14 @@ Node& Graph::add_node(OpKind kind, ValueId in0, ValueId in1) {
 }
 
 ValueId Graph::conv(ValueId in, i64 out_channels, Dims kernel, Dims padding,
-                    Dims tile_m, const Blocking& blocking) {
+                    Dims tile_m) {
+  select::SelectedConfig winograd;
+  winograd.tile_m = tile_m;
+  return conv(in, out_channels, kernel, padding, winograd);
+}
+
+ValueId Graph::conv(ValueId in, i64 out_channels, Dims kernel, Dims padding,
+                    const select::SelectedConfig& config) {
   const ImageLayout& il = layout(in);
   Node& n = add_node(OpKind::kConv, in);
   n.problem.shape.batch = il.batch;
@@ -69,9 +76,16 @@ ValueId Graph::conv(ValueId in, i64 out_channels, Dims kernel, Dims padding,
   n.problem.shape.image = il.spatial;
   n.problem.shape.kernel = kernel;
   n.problem.shape.padding = padding;
-  n.problem.tile_m = tile_m;
-  n.problem.validate();
-  n.blocking = blocking;
+  if (config.algorithm == select::Algorithm::kWinograd) {
+    n.problem.tile_m = config.tile_m;
+    n.problem.validate();
+  } else {
+    // 1s keep the pool-fold legality test (graph/fusion.h) refusing every
+    // pool: only the Winograd epilogue reduces windows per tile.
+    n.problem.tile_m = Dims::filled(kernel.rank(), 1);
+    n.problem.shape.validate();
+  }
+  n.config = config;
 
   // Xavier default so an un-customized graph is runnable; deterministic in
   // the node id, so construction order fully determines weights.
@@ -83,7 +97,6 @@ ValueId Graph::conv(ValueId in, i64 out_channels, Dims kernel, Dims padding,
   n.weights.reset(
       static_cast<std::size_t>(n.problem.kernel_layout().total_floats()));
   for (auto& v : n.weights) v = rng.uniform(-limit, limit);
-  n.weights_set = true;
 
   n.out = new_value(n.problem.output_layout(), n.id);
   return n.out;
@@ -154,14 +167,22 @@ Node& Graph::conv_node_of(ValueId conv_out) {
 void Graph::set_conv_weights(ValueId conv_out, const float* w_plain) {
   Node& n = conv_node_of(conv_out);
   pack_kernels(w_plain, n.weights.data(), n.problem.kernel_layout());
-  n.weights_set = true;
 }
 
 void Graph::set_conv_weights_blocked(ValueId conv_out,
                                      const float* w_blocked) {
   Node& n = conv_node_of(conv_out);
   std::memcpy(n.weights.data(), w_blocked, n.weights.size() * sizeof(float));
-  n.weights_set = true;
+}
+
+std::string conv_label(const Node& conv) {
+  const ConvShape& s = conv.problem.shape;
+  std::string label = str_cat(s.in_channels, "->", s.out_channels, " k",
+                              s.kernel.to_string(), " ");
+  if (conv.config.algorithm == select::Algorithm::kWinograd) {
+    return label + "F" + conv.problem.tile_m.to_string();
+  }
+  return label + select::algorithm_name(conv.config.algorithm);
 }
 
 std::string Graph::summary() const {
@@ -170,10 +191,7 @@ std::string Graph::summary() const {
     const Value& out = value(n.out);
     os << "  [" << n.id << "] " << op_name(n.kind);
     if (n.kind == OpKind::kConv) {
-      os << " " << n.problem.shape.in_channels << "->"
-         << n.problem.shape.out_channels << " k"
-         << n.problem.shape.kernel.to_string() << " F"
-         << n.problem.tile_m.to_string();
+      os << " " << conv_label(n);
     } else if (n.kind == OpKind::kMaxPool) {
       os << " " << n.window;
     }

@@ -1,30 +1,31 @@
 // ondwin::graph — a small graph IR for whole-network execution.
 //
-// net::Sequential runs layers one at a time through global memory: every
-// convolution's inverse-transform output round-trips DRAM before the next
-// layer's bias/ReLU/pool/input-transform touches it. The graph IR makes
-// the data flow explicit — nodes are ops (conv / bias / relu / max-pool /
-// eltwise-add), edges are tensors in the SIMD-blocked layout — so two
-// compilation passes can exploit it:
+// Nodes are ops (conv / bias / relu / max-pool / eltwise-add), edges are
+// tensors in the SIMD-blocked layout. Making the data flow explicit lets
+// two compilation passes exploit it:
 //
 //   * fusion (graph/fusion.h): bias → relu → pool chains hanging off a
-//     convolution fold into the conv's inverse-transform epilogue
-//     (transform/epilogue.h), so the activation leaves stage 3 already
-//     biased, rectified, and pooled — it never re-enters DRAM unactivated;
+//     convolution fold into the conv's epilogue (transform/epilogue.h),
+//     so the activation leaves the conv already biased, rectified, and —
+//     for Winograd nodes — pooled; it never re-enters DRAM unactivated;
 //   * memory planning (graph/memory_planner.h): edge lifetimes are
 //     colored onto one fixed arena slab, so a full VGG/C3D-style forward
 //     pass performs zero steady-state allocations.
 //
+// Each conv node names its backend — a select::SelectedConfig: Winograd
+// with its tile and blocking, FFT or direct — so a network whose layers
+// the selection planner chose lowers unchanged (Sequential::to_graph()).
 // Construction order is execution order (an op's inputs must already
 // exist), so node ids are a topological order by construction. The graph
 // owns its weights; graph::Executor (graph/executor.h) compiles it into
-// ConvPlans + planned buffers and runs it.
+// one select::AutoConv per conv + planned buffers and runs it.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/conv_plan.h"
+#include "select/auto_conv.h"
 #include "util/aligned.h"
 
 namespace ondwin::graph {
@@ -43,14 +44,14 @@ struct Node {
   ValueId out = -1;
 
   // kConv: the full per-layer problem (batch/channels resolved from the
-  // input edge), optional per-node blocking overrides (how auto-selected
-  // Sequential layers keep their tuned blocking — blocking changes the
-  // GEMM summation order, so carrying it is part of bitwise identity),
-  // and the blocked weight bank.
+  // input edge; tile_m is all 1s unless the node runs Winograd), the
+  // backend the node compiles to (algorithm, Winograd tile, blocking,
+  // storage precision — blocking changes the GEMM summation order, so
+  // carrying it is part of bitwise reproducibility), and the blocked
+  // weight bank.
   ConvProblem problem;
-  Blocking blocking;
+  select::SelectedConfig config;
   AlignedBuffer<float> weights;  // problem.kernel_layout() floats
-  bool weights_set = false;
 
   // kBias: per-output-channel addends (channels floats, plain order).
   AlignedBuffer<float> bias;
@@ -58,6 +59,10 @@ struct Node {
   // kMaxPool: cubic window, stride == window, floor semantics.
   i64 window = 0;
 };
+
+/// "64->128 k<3,3> F<4,4>" for a Winograd conv node; non-Winograd nodes
+/// name their backend instead of a tile ("... k<11,11> fft").
+std::string conv_label(const Node& conv);
 
 /// One tensor edge.
 struct Value {
@@ -86,7 +91,11 @@ class Graph {
   /// node id) so an un-customized graph is runnable; install real ones
   /// with set_conv_weights(). Returns the output edge.
   ValueId conv(ValueId in, i64 out_channels, Dims kernel, Dims padding,
-               Dims tile_m, const Blocking& blocking = {});
+               Dims tile_m);
+  /// Same, run by the backend `config` names — a selection-planner
+  /// decision (Winograd tile + blocking, FFT, or direct).
+  ValueId conv(ValueId in, i64 out_channels, Dims kernel, Dims padding,
+               const select::SelectedConfig& config);
   /// Appends a per-channel bias add. `values` is channels floats (plain
   /// channel order), copied.
   ValueId bias(ValueId in, const float* values);

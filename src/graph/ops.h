@@ -2,9 +2,8 @@
 // what the graph executor runs for nodes the fusion pass could NOT fold
 // into a convolution epilogue (multi-user edges, marked outputs, pool
 // windows that straddle tile boundaries), and the reference the fused
-// epilogue is bitwise-checked against. net::Sequential's pool layer
-// delegates to max_pool_blocked(), so the layer-at-a-time path and the
-// graph path reduce windows in exactly the same order.
+// epilogue is bitwise-checked against: the fused pool reduces windows in
+// exactly max_pool_blocked()'s order.
 #pragma once
 
 #include "tensor/layout.h"

@@ -1,12 +1,25 @@
 #include "net/sequential.h"
 
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
-#include "graph/ops.h"
-
 namespace ondwin {
+
+namespace {
+
+ConvShape conv_shape(const ImageLayout& in, i64 out_channels, Dims kernel,
+                     Dims padding) {
+  ConvShape shape;
+  shape.batch = in.batch;
+  shape.in_channels = in.channels;
+  shape.out_channels = out_channels;
+  shape.image = in.spatial;
+  shape.kernel = kernel;
+  shape.padding = padding;
+  return shape;
+}
+
+}  // namespace
 
 Sequential::Sequential(i64 batch, i64 in_channels, Dims input_dims,
                        const PlanOptions& options)
@@ -17,118 +30,69 @@ const ImageLayout& Sequential::output_layout() const {
   return layers_.back().output;
 }
 
-Sequential::ConvLayer& Sequential::append_conv(i64 out_channels, Dims kernel,
-                                               Dims padding, Dims tile_m,
-                                               bool relu) {
+int Sequential::append_conv(i64 out_channels, Dims kernel, Dims padding,
+                            bool relu,
+                            const select::SelectedConfig& selected) {
   const ImageLayout& in =
       layers_.empty() ? input_layout_ : layers_.back().output;
 
   Layer layer;
-  layer.conv = std::make_unique<ConvLayer>();
-  ConvLayer& cl = *layer.conv;
-  cl.problem.shape.batch = in.batch;
-  cl.problem.shape.in_channels = in.channels;
-  cl.problem.shape.out_channels = out_channels;
-  cl.problem.shape.image = in.spatial;
-  cl.problem.shape.kernel = kernel;
-  cl.problem.shape.padding = padding;
-  cl.problem.tile_m = tile_m;
-  cl.relu = relu;
-  cl.plan = std::make_unique<ConvPlan>(cl.problem, options_);
-  cl.bias.reset(static_cast<std::size_t>(out_channels));
-
-  layer.output = cl.problem.output_layout();
-  layers_.push_back(std::move(layer));
-  buffers_ready_ = false;
-  return *layers_.back().conv;
-}
-
-Sequential::ConvLayer& Sequential::append_conv_auto(
-    i64 out_channels, Dims kernel, Dims padding, bool relu,
-    const select::SelectOptions& opts) {
-  const ImageLayout& in =
-      layers_.empty() ? input_layout_ : layers_.back().output;
-
-  ConvShape shape;
-  shape.batch = in.batch;
-  shape.in_channels = in.channels;
-  shape.out_channels = out_channels;
-  shape.image = in.spatial;
-  shape.kernel = kernel;
-  shape.padding = padding;
-
-  // The network's PlanOptions govern execution (threads, JIT switches)
-  // and its wisdom file caches the decisions; the caller's SelectOptions
-  // contribute only the planner knobs.
-  select::SelectOptions sopts = opts;
-  sopts.plan = options_;
-
-  Layer layer;
-  layer.conv = std::make_unique<ConvLayer>();
-  ConvLayer& cl = *layer.conv;
-  cl.problem.shape = shape;
-  cl.selected = select::select_config(shape, sopts);
-  cl.problem.tile_m = cl.selected.algorithm == select::Algorithm::kWinograd
-                          ? cl.selected.tile_m
-                          : Dims::filled(shape.image.rank(), 1);
-  cl.select_opts = sopts;
-  cl.relu = relu;
-  cl.auto_exec =
-      std::make_unique<select::AutoConv>(shape, cl.selected, options_);
-  cl.bias.reset(static_cast<std::size_t>(out_channels));
-
-  layer.output = cl.problem.output_layout();
-  layers_.push_back(std::move(layer));
-  buffers_ready_ = false;
-  return *layers_.back().conv;
-}
-
-void Sequential::install_kernels(ConvLayer& cl) {
-  if (cl.auto_exec != nullptr) {
-    cl.auto_exec->set_kernels(cl.w_blocked.data());
+  layer.problem.shape = conv_shape(in, out_channels, kernel, padding);
+  layer.problem.tile_m = selected.tile_m;
+  if (selected.algorithm == select::Algorithm::kWinograd) {
+    layer.problem.validate();
   } else {
-    cl.plan->set_kernels(cl.w_blocked.data());
+    layer.problem.shape.validate();
   }
-}
+  layer.selected = selected;
+  layer.relu = relu;
+  layer.bias.reset(static_cast<std::size_t>(out_channels));
+  layer.output = layer.problem.output_layout();
 
-void Sequential::default_weights(ConvLayer& cl) {
   // Xavier default so an un-customized network is still runnable. The seed
   // is the layer index, so construction order fully determines weights.
-  Rng rng(0xD1CE + static_cast<u64>(layers_.size() - 1));
-  const Dims& kernel = cl.problem.shape.kernel;
-  const float fan_in = static_cast<float>(cl.problem.shape.in_channels *
-                                          kernel.product());
-  const float fan_out =
-      static_cast<float>(cl.problem.shape.out_channels * kernel.product());
+  Rng rng(0xD1CE + static_cast<u64>(layers_.size()));
+  const float fan_in = static_cast<float>(in.channels * kernel.product());
+  const float fan_out = static_cast<float>(out_channels * kernel.product());
   const float limit = std::sqrt(6.0f / (fan_in + fan_out));
-  const KernelLayout kl = cl.problem.kernel_layout();
-  cl.w_blocked.reset(static_cast<std::size_t>(kl.total_floats()));
-  for (auto& v : cl.w_blocked) v = rng.uniform(-limit, limit);
-  install_kernels(cl);
-  cl.weights_set = true;
+  layer.w_blocked.reset(
+      static_cast<std::size_t>(layer.problem.kernel_layout().total_floats()));
+  for (auto& v : layer.w_blocked) v = rng.uniform(-limit, limit);
+
+  layers_.push_back(std::move(layer));
+  return static_cast<int>(layers_.size()) - 1;
 }
 
 int Sequential::add_conv(i64 out_channels, Dims kernel, Dims padding,
                          Dims tile_m, bool relu) {
-  ConvLayer& cl = append_conv(out_channels, kernel, padding, tile_m, relu);
-  default_weights(cl);
-  return static_cast<int>(layers_.size()) - 1;
+  select::SelectedConfig winograd;
+  winograd.tile_m = tile_m;
+  return append_conv(out_channels, kernel, padding, relu, winograd);
 }
 
 int Sequential::add_conv_auto(i64 out_channels, Dims kernel, Dims padding,
                               bool relu,
                               const select::SelectOptions& opts) {
-  ConvLayer& cl =
-      append_conv_auto(out_channels, kernel, padding, relu, opts);
-  default_weights(cl);
-  return static_cast<int>(layers_.size()) - 1;
+  const ImageLayout& in =
+      layers_.empty() ? input_layout_ : layers_.back().output;
+  // The network's PlanOptions govern execution (threads, JIT switches)
+  // and its wisdom file caches the decisions; the caller's SelectOptions
+  // contribute only the planner knobs.
+  select::SelectOptions sopts = opts;
+  sopts.plan = options_;
+  const select::SelectedConfig selected = select::select_config(
+      conv_shape(in, out_channels, kernel, padding), sopts);
+  const int idx = append_conv(out_channels, kernel, padding, relu, selected);
+  layers_.back().auto_selected = true;
+  layers_.back().select_opts = sopts;
+  return idx;
 }
 
 const select::SelectedConfig& Sequential::selected_config(int layer) const {
-  const auto& l = layers_.at(static_cast<std::size_t>(layer));
-  ONDWIN_CHECK(l.conv != nullptr && l.conv->auto_exec != nullptr,
-               "layer ", layer, " is not an auto-selected convolution");
-  return l.conv->selected;
+  const Layer& l = layers_.at(static_cast<std::size_t>(layer));
+  ONDWIN_CHECK(l.auto_selected, "layer ", layer,
+               " is not an auto-selected convolution");
+  return l.selected;
 }
 
 int Sequential::add_max_pool(i64 window) {
@@ -137,204 +101,78 @@ int Sequential::add_max_pool(i64 window) {
       layers_.empty() ? input_layout_ : layers_.back().output;
 
   Layer layer;
-  layer.pool = std::make_unique<PoolLayer>();
-  PoolLayer& pl = *layer.pool;
-  pl.window = window;
-  pl.in = in;
+  layer.window = window;
   Dims out_sp = in.spatial;
   for (int d = 0; d < out_sp.rank(); ++d) {
     out_sp[d] = in.spatial[d] / window;
     ONDWIN_CHECK(out_sp[d] >= 1, "pool window ", window,
                  " larger than dimension ", d);
   }
-  pl.out = ImageLayout(in.batch, in.channels, out_sp);
-  layer.output = pl.out;
+  layer.output = ImageLayout(in.batch, in.channels, out_sp);
   layers_.push_back(std::move(layer));
-  buffers_ready_ = false;
   return static_cast<int>(layers_.size()) - 1;
 }
 
 void Sequential::set_conv_weights(int layer, const float* w_plain,
                                   const float* bias) {
-  auto& l = layers_.at(static_cast<std::size_t>(layer));
-  ONDWIN_CHECK(l.conv != nullptr, "layer ", layer, " is not a convolution");
-  ConvLayer& cl = *l.conv;
-  const KernelLayout kl = cl.problem.kernel_layout();
-  cl.w_blocked.reset(static_cast<std::size_t>(kl.total_floats()));
-  pack_kernels(w_plain, cl.w_blocked.data(), kl);
-  install_kernels(cl);
-  cl.weights_set = true;
+  Layer& l = layers_.at(static_cast<std::size_t>(layer));
+  ONDWIN_CHECK(l.window == 0, "layer ", layer, " is not a convolution");
+  pack_kernels(w_plain, l.w_blocked.data(), l.problem.kernel_layout());
   if (bias != nullptr) {
-    for (i64 i = 0; i < cl.problem.shape.out_channels; ++i) {
-      cl.bias[static_cast<std::size_t>(i)] = bias[i];
+    for (i64 i = 0; i < l.problem.shape.out_channels; ++i) {
+      l.bias[static_cast<std::size_t>(i)] = bias[i];
     }
   } else {
-    cl.bias.fill_zero();
+    l.bias.fill_zero();
   }
 }
 
 void Sequential::randomize_weights(Rng& rng) {
-  for (auto& l : layers_) {
-    if (l.conv == nullptr) continue;
-    ConvLayer& cl = *l.conv;
-    const KernelLayout kl = cl.problem.kernel_layout();
+  for (Layer& l : layers_) {
+    if (l.window > 0) continue;
+    const KernelLayout kl = l.problem.kernel_layout();
     const float stddev = std::sqrt(
         2.0f / static_cast<float>(kl.in_channels * kl.taps()));
-    cl.w_blocked.reset(static_cast<std::size_t>(kl.total_floats()));
-    for (auto& v : cl.w_blocked) v = rng.gaussian(0.0f, stddev);
-    install_kernels(cl);
-    cl.weights_set = true;
+    for (auto& v : l.w_blocked) v = rng.gaussian(0.0f, stddev);
   }
-}
-
-std::unique_ptr<Sequential> Sequential::replica(i64 batch) const {
-  return replica(batch, options_);
-}
-
-std::unique_ptr<Sequential> Sequential::replica(
-    i64 batch, const PlanOptions& options) const {
-  ONDWIN_CHECK(batch >= 1, "replica batch must be >= 1, got ", batch);
-  auto r = std::make_unique<Sequential>(batch, input_layout_.channels,
-                                        input_layout_.spatial, options);
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& l = layers_[i];
-    if (l.pool != nullptr) {
-      r->add_max_pool(l.pool->window);
-      continue;
-    }
-    const ConvLayer& src = *l.conv;
-    ONDWIN_CHECK(src.weights_set, "replica() of layer ", i,
-                 " without weights");
-    ConvLayer& dst =
-        src.auto_exec != nullptr
-            // Planner-selected layers re-select at the replica's batch
-            // size — batch moves the algorithm/tile crossover, and the
-            // shared wisdom file makes the re-selection a cache hit in
-            // the steady state. This is how serving engines get
-            // per-batch-size algorithm choices for one registered model.
-            ? r->append_conv_auto(src.problem.shape.out_channels,
-                                  src.problem.shape.kernel,
-                                  src.problem.shape.padding, src.relu,
-                                  src.select_opts)
-            : r->append_conv(src.problem.shape.out_channels,
-                             src.problem.shape.kernel,
-                             src.problem.shape.padding, src.problem.tile_m,
-                             src.relu);
-    // Zero-copy weight sharing when the W layouts agree (always, under
-    // the default batch-invariant blocking heuristics; for auto layers,
-    // whenever both replicas selected Winograd with matching layouts);
-    // re-transform the retained blocked kernels when the configs diverge.
-    const SharedKernels shared = src.auto_exec != nullptr
-                                     ? src.auto_exec->export_kernels()
-                                     : src.plan->export_kernels();
-    const bool adopted =
-        dst.auto_exec != nullptr
-            ? (shared.data != nullptr &&
-               dst.auto_exec->try_adopt_kernels(shared))
-            : dst.plan->try_adopt_kernels(shared);
-    dst.w_blocked.reset(src.w_blocked.size());
-    std::memcpy(dst.w_blocked.data(), src.w_blocked.data(),
-                src.w_blocked.size() * sizeof(float));
-    if (!adopted) install_kernels(dst);
-    std::memcpy(dst.bias.data(), src.bias.data(),
-                static_cast<std::size_t>(src.problem.shape.out_channels) *
-                    sizeof(float));
-    dst.weights_set = true;
-  }
-  return r;
-}
-
-const float* Sequential::forward(const float* input_blocked) {
-  ONDWIN_CHECK(!layers_.empty(), "network has no layers");
-  if (!buffers_ready_) {
-    i64 max_floats = input_layout_.total_floats();
-    for (const auto& l : layers_) {
-      max_floats = std::max(max_floats, l.output.total_floats());
-    }
-    act_a_.reset(static_cast<std::size_t>(max_floats));
-    act_b_.reset(static_cast<std::size_t>(max_floats));
-    buffers_ready_ = true;
-  }
-  layer_seconds_.assign(layers_.size(), 0.0);
-
-  Timer total;
-  const float* cur = input_blocked;
-  float* bufs[2] = {act_a_.data(), act_b_.data()};
-  int next = 0;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    Layer& l = layers_[i];
-    float* out = bufs[next];
-    next ^= 1;
-    Timer t;
-    if (l.conv != nullptr) {
-      ConvLayer& cl = *l.conv;
-      ONDWIN_CHECK(cl.weights_set, "layer ", i, " has no weights");
-      Epilogue ep;
-      ep.bias = cl.bias.data();
-      ep.relu = cl.relu;
-      if (cl.auto_exec != nullptr) {
-        cl.auto_exec->execute_pretransformed(cur, out, ep);
-      } else {
-        cl.plan->execute_pretransformed(cur, out, ep);
-      }
-    } else {
-      run_pool(*l.pool, cur, out);
-    }
-    layer_seconds_[i] = t.seconds();
-    cur = out;
-  }
-  last_seconds_ = total.seconds();
-  return cur;
-}
-
-void Sequential::forward_into(const float* input_blocked, float* output) {
-  const float* result = forward(input_blocked);
-  std::memcpy(output, result,
-              static_cast<std::size_t>(output_layout().total_floats()) *
-                  sizeof(float));
-}
-
-void Sequential::run_pool(const PoolLayer& pool, const float* in,
-                          float* out) const {
-  // One implementation for both execution paths: the graph executor's
-  // standalone pool op IS this pool, so graph-vs-layered identity never
-  // hinges on two copies of the reduction staying in sync.
-  graph::max_pool_blocked(pool.in, pool.window, in, out);
 }
 
 graph::Graph Sequential::to_graph() const {
+  return lower(input_layout_.batch, nullptr);
+}
+
+graph::Graph Sequential::to_graph(i64 batch,
+                                  const PlanOptions& options) const {
+  ONDWIN_CHECK(batch >= 1, "to_graph() batch must be >= 1, got ", batch);
+  return lower(batch, &options);
+}
+
+graph::Graph Sequential::lower(i64 batch, const PlanOptions* reselect) const {
   ONDWIN_CHECK(!layers_.empty(), "network has no layers");
-  graph::Graph g(input_layout_.batch, input_layout_.channels,
-                 input_layout_.spatial);
+  graph::Graph g(batch, input_layout_.channels, input_layout_.spatial);
   graph::ValueId v = g.input();
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& l = layers_[i];
-    if (l.pool != nullptr) {
-      v = g.max_pool(v, l.pool->window);
+  for (const Layer& l : layers_) {
+    if (l.window > 0) {
+      v = g.max_pool(v, l.window);
       continue;
     }
-    const ConvLayer& cl = *l.conv;
-    ONDWIN_CHECK(cl.weights_set, "to_graph() of layer ", i,
-                 " without weights");
-    Blocking blocking;
-    if (cl.auto_exec != nullptr) {
-      // Only Winograd-backed layers lower: the graph executor compiles
-      // ConvPlans. Carrying the planner's tile_m AND blocking keeps the
-      // GEMM summation order — and therefore the bits — identical.
-      ONDWIN_CHECK(cl.selected.algorithm == select::Algorithm::kWinograd,
-                   "to_graph(): auto layer ", i, " selected ",
-                   select::algorithm_name(cl.selected.algorithm),
-                   " — only Winograd layers lower to the graph IR");
-      blocking = cl.selected.blocking;
+    const ConvShape& s = l.problem.shape;
+    select::SelectedConfig config = l.selected;
+    if (l.auto_selected && reselect != nullptr) {
+      // Batch moves the algorithm/tile crossover; the shared wisdom file
+      // makes this re-selection a cache hit in the steady state.
+      ConvShape shape = s;
+      shape.batch = batch;
+      select::SelectOptions sopts = l.select_opts;
+      sopts.plan = *reselect;
+      config = select::select_config(shape, sopts);
     }
-    v = g.conv(v, cl.problem.shape.out_channels, cl.problem.shape.kernel,
-               cl.problem.shape.padding, cl.problem.tile_m, blocking);
-    g.set_conv_weights_blocked(v, cl.w_blocked.data());
-    // Sequential's epilogue always adds bias (zeros count), so the graph
-    // carries an explicit bias node even for zero bias — that is what
-    // keeps the lowered net bit-identical, fused or not.
-    v = g.bias(v, cl.bias.data());
-    if (cl.relu) v = g.relu(v);
+    v = g.conv(v, s.out_channels, s.kernel, s.padding, config);
+    g.set_conv_weights_blocked(v, l.w_blocked.data());
+    // The graph carries an explicit bias node even for zero bias, so
+    // every lowered conv has the same epilogue, fused or not.
+    v = g.bias(v, l.bias.data());
+    if (l.relu) v = g.relu(v);
   }
   g.mark_output(v);
   return g;
@@ -345,40 +183,27 @@ std::string Sequential::summary() const {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Layer& l = layers_[i];
     os << "  [" << i << "] ";
-    if (l.conv != nullptr) {
-      const ConvProblem& p = l.conv->problem;
-      os << "conv " << p.shape.in_channels << "->" << p.shape.out_channels
-         << " k" << p.shape.kernel.to_string();
-      if (l.conv->auto_exec != nullptr) {
-        os << " auto["
-           << select::algorithm_name(l.conv->selected.algorithm);
-        if (l.conv->selected.algorithm == select::Algorithm::kWinograd) {
-          os << " F" << l.conv->selected.tile_m.to_string();
+    if (l.window == 0) {
+      const ConvShape& s = l.problem.shape;
+      os << "conv " << s.in_channels << "->" << s.out_channels << " k"
+         << s.kernel.to_string();
+      if (l.auto_selected) {
+        os << " auto[" << select::algorithm_name(l.selected.algorithm);
+        if (l.selected.algorithm == select::Algorithm::kWinograd) {
+          os << " F" << l.selected.tile_m.to_string();
         }
         os << "]";
       } else {
-        os << " F" << p.tile_m.to_string();
+        os << " F" << l.problem.tile_m.to_string();
       }
-      os << (l.conv->relu ? " +relu" : "");
+      os << (l.relu ? " +relu" : "");
     } else {
-      os << "maxpool " << l.pool->window;
+      os << "maxpool " << l.window;
     }
     os << " -> " << l.output.spatial.to_string() << "x" << l.output.channels
        << "\n";
   }
   return os.str();
-}
-
-i64 Sequential::workspace_bytes() const {
-  i64 total = static_cast<i64>((act_a_.size() + act_b_.size()) *
-                               sizeof(float));
-  for (const auto& l : layers_) {
-    if (l.conv == nullptr) continue;
-    total += l.conv->auto_exec != nullptr
-                 ? l.conv->auto_exec->workspace_bytes()
-                 : l.conv->plan->workspace_bytes();
-  }
-  return total;
 }
 
 }  // namespace ondwin

@@ -1,15 +1,18 @@
-// Network-level API: a sequential stack of Winograd convolution layers.
+// Network-level API: a builder for sequential stacks of convolution and
+// max-pool layers.
 //
 // ConvNets run dozens of layers back to back; the paper's layout is
 // designed so one layer's output feeds the next without reshuffling
 // (§4.1), and its workspace note (§4.4) points out that one auxiliary
-// buffer serves every layer. Sequential packages exactly that: layers
-// share a ping-pong pair of blocked activation buffers, each conv layer
-// owns its plan and pre-transformed kernels (FX mode), bias+ReLU are fused
-// into stage 3, and max-pooling runs directly on the blocked layout.
+// buffer serves every layer. Sequential describes such a stack — layer
+// shapes, per-layer algorithm decisions, blocked weights and biases — and
+// lowers it to the graph IR (graph/ir.h). graph::Executor is the one
+// thing that runs it: it transforms the kernels once (FX mode), folds
+// bias+ReLU(+pool) into the conv epilogues and plans every activation
+// onto one arena slab. A Sequential itself owns no plans and transforms
+// no kernels.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,8 +44,9 @@ class Sequential {
   /// `opts` carries the planner knobs (budget, top-K, class gates,
   /// wisdom); its `plan` field is ignored — the network's own PlanOptions
   /// govern execution, and its wisdom path caches the decisions.
-  /// Replicas re-run selection at their batch size (wisdom makes that
-  /// cheap), which is how serving gets per-batch-size algorithm choices.
+  /// to_graph(batch, options) re-runs selection at another batch size
+  /// (wisdom makes that cheap), which is how serving gets per-batch-size
+  /// algorithm choices.
   int add_conv_auto(i64 out_channels, Dims kernel, Dims padding,
                     bool relu = true,
                     const select::SelectOptions& opts = {});
@@ -56,118 +60,64 @@ class Sequential {
   int add_max_pool(i64 window);
 
   /// Replaces a conv layer's weights (plain [C'][C][taps] row-major) and
-  /// bias (C' floats, nullptr keeps zero bias). Transforms immediately.
+  /// bias (C' floats, nullptr keeps zero bias).
   void set_conv_weights(int layer, const float* w_plain, const float* bias);
 
   /// He-initializes every conv layer from `rng` (deterministic).
   void randomize_weights(Rng& rng);
 
-  /// Builds a replica of this network for a different batch size carrying
-  /// exactly this network's weights (never re-randomized). Conv layers
-  /// adopt the original's pre-transformed W buffers zero-copy when the
-  /// blockings agree (they are batch-invariant under the default
-  /// heuristics) and fall back to re-transforming the retained blocked
-  /// weights otherwise. This is how serving engines get per-batch-size
-  /// execution contexts for one registered model.
-  std::unique_ptr<Sequential> replica(i64 batch) const;
-
-  /// Same, with different plan options (serving engines pass their own
-  /// thread count / CPU range). Weight sharing still applies whenever the
-  /// resulting blockings agree.
-  std::unique_ptr<Sequential> replica(i64 batch,
-                                      const PlanOptions& options) const;
-
   int layer_count() const { return static_cast<int>(layers_.size()); }
   const ImageLayout& input_layout() const { return input_layout_; }
   const ImageLayout& output_layout() const;
-  /// The options every layer's plan was built with. A graph::Executor
-  /// compiled from to_graph() with the same options in
-  /// CompileOptions::plan builds bit-identical ConvPlans.
+  /// The options the network was built with (auto layers were selected
+  /// under them). Pass them as CompileOptions::plan to run the lowered
+  /// graph the way the planner measured it.
   const PlanOptions& plan_options() const { return options_; }
 
-  /// Lowers the network to the graph IR (graph/ir.h): each conv layer
-  /// becomes conv → bias (→ relu) nodes carrying this network's weights
-  /// (copied), each pool layer a max-pool node, and the last layer's edge
-  /// is the marked output. Compile the result with graph::Executor —
-  /// with CompileOptions::plan == plan_options() its output is bitwise
-  /// identical to forward(). Auto-selected layers must have resolved to
-  /// Winograd (their tile_m and tuned blocking are carried per node);
-  /// direct/FFT-backed layers cannot lower and fail loudly.
+  /// Lowers the network to the graph IR (graph/ir.h) at its own batch
+  /// size: each conv layer becomes conv → bias (→ relu) nodes carrying
+  /// this network's weights (copied) and its backend decision — Winograd
+  /// tile and blocking, FFT or direct — each pool layer a max-pool node,
+  /// and the last layer's edge is the marked output.
   graph::Graph to_graph() const;
 
-  /// Runs the network on a blocked input batch.
-  ///
-  /// ALIASING HAZARD: the returned pointer aims into one of the two
-  /// internal ping-pong activation buffers; the next forward() call (from
-  /// any caller) overwrites it. Callers that hand results to another
-  /// thread — or batch requests, like serve::Engine — must copy them out
-  /// first, or use forward_into().
-  const float* forward(const float* input_blocked);
+  /// Same, at `batch` samples: auto layers re-run selection at that
+  /// batch size under `options` (wisdom hits once the decision has been
+  /// measured), fixed layers keep their tile. Serving compiles one of
+  /// these per batch-size bucket.
+  graph::Graph to_graph(i64 batch, const PlanOptions& options) const;
 
-  /// Like forward(), but copies the final activations into `output`
-  /// (output_layout().total_floats() floats, caller-owned), so the result
-  /// survives subsequent forward() calls. `output` must not alias the
-  /// internal buffers.
-  void forward_into(const float* input_blocked, float* output);
-
-  double last_forward_seconds() const { return last_seconds_; }
-  /// Wall seconds of layer `i` in the last forward pass.
-  double layer_seconds(int i) const {
-    return layer_seconds_.at(static_cast<std::size_t>(i));
-  }
   /// Human-readable per-layer summary ("conv 64->128 3x3 F(4x4) ...").
   std::string summary() const;
 
-  /// Total auxiliary bytes (plan workspaces + activations + weights).
-  i64 workspace_bytes() const;
-
  private:
-  struct ConvLayer {
+  /// One layer: a max-pool when `window` > 0, otherwise a convolution.
+  struct Layer {
+    i64 window = 0;
+    // Convolution: the problem (tile_m is the selected Winograd tile,
+    // rank 0 for FFT/direct), the backend decision, and — for
+    // planner-chosen layers — the planner knobs, kept so
+    // to_graph(batch, ...) can re-select.
     ConvProblem problem;
-    std::unique_ptr<ConvPlan> plan;  // fixed-config layers
-    // Planner-chosen layers: the uniform executor, the decision it was
-    // built from, and the planner knobs (kept so replicas can re-select
-    // at their batch size). Exactly one of plan/auto_exec is non-null.
-    std::unique_ptr<select::AutoConv> auto_exec;
+    bool auto_selected = false;
     select::SelectedConfig selected;
     select::SelectOptions select_opts;
+    AlignedBuffer<float> w_blocked;  // problem.kernel_layout() floats
     AlignedBuffer<float> bias;       // C' floats
-    AlignedBuffer<float> w_blocked;  // blocked (untransformed) kernels,
-                                     // retained so replicas can rebuild W
-                                     // when blockings diverge
     bool relu = true;
-    bool weights_set = false;
-  };
-  struct PoolLayer {
-    i64 window = 2;
-    ImageLayout in, out;
-  };
-  struct Layer {
-    // exactly one of the two is active
-    std::unique_ptr<ConvLayer> conv;
-    std::unique_ptr<PoolLayer> pool;
     ImageLayout output;
   };
 
-  /// Appends a conv layer (plan + zero bias) without initializing weights.
-  ConvLayer& append_conv(i64 out_channels, Dims kernel, Dims padding,
-                         Dims tile_m, bool relu);
-  /// Same, but planner-selected (AutoConv-backed).
-  ConvLayer& append_conv_auto(i64 out_channels, Dims kernel, Dims padding,
-                              bool relu, const select::SelectOptions& opts);
-  /// Xavier-initializes and installs default weights for a fresh layer.
-  void default_weights(ConvLayer& cl);
-  /// Routes blocked kernels into whichever executor the layer holds.
-  static void install_kernels(ConvLayer& cl);
-  void run_pool(const PoolLayer& pool, const float* in, float* out) const;
+  /// Appends a conv layer with Xavier weights and zero bias.
+  int append_conv(i64 out_channels, Dims kernel, Dims padding, bool relu,
+                  const select::SelectedConfig& selected);
+  /// to_graph() at `batch`; non-null `reselect` re-runs auto layers'
+  /// selection under those options, null keeps each layer's decision.
+  graph::Graph lower(i64 batch, const PlanOptions* reselect) const;
 
   ImageLayout input_layout_;
   PlanOptions options_;
   std::vector<Layer> layers_;
-  AlignedBuffer<float> act_a_, act_b_;
-  bool buffers_ready_ = false;
-  double last_seconds_ = 0;
-  std::vector<double> layer_seconds_;
 };
 
 }  // namespace ondwin

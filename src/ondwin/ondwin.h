@@ -11,20 +11,22 @@
 //                  short list, and caches the decision in wisdom v2
 //   pack_image / pack_kernels / unpack_image — layout conversion helpers
 //   PlanCache    — process-wide deduplicated plan construction
-//   Sequential   — a network of conv/pool layers on shared activation
-//                  buffers (add_conv_auto for planner-chosen layers)
-//   graph::Graph / graph::Executor — whole-network graph IR: bias/ReLU/
-//                  pool chains fuse into conv inverse-transform epilogues
-//                  and every intermediate activation is lifetime-planned
-//                  onto one arena slab (Sequential::to_graph() lowers a
-//                  network; output is bitwise identical)
+//   Sequential   — a builder for networks of conv/pool layers
+//                  (add_conv_auto for planner-chosen layers); it runs
+//                  nothing itself — to_graph() lowers it to the graph IR
+//   graph::Graph / graph::Executor — the one network executor: each conv
+//                  node runs any AutoConv backend (Winograd, FFT, direct),
+//                  bias/ReLU(/pool, Winograd only) chains fuse into conv
+//                  epilogues, and every intermediate activation is
+//                  lifetime-planned onto one arena slab
 //   fftconv::FftConvPlan — the first-class FFT engine behind the
 //                  planner's "fft" class: R2C overlap-save transforms
 //                  over the blocked layout, a JIT'd complex GEMM stage,
 //                  fused epilogues — same FX contract as ConvPlan
 //   serve::InferenceServer — concurrent serving with dynamic
-//                  micro-batching (ModelConfig::auto_select re-runs the
-//                  planner per batch-size bucket)
+//                  micro-batching; networks run as one graph::Executor
+//                  per batch-size bucket (ModelConfig::auto_select re-runs
+//                  the planner per bucket for conv models)
 //   rpc::RpcServer / rpc::RpcClient / rpc::ShardRouter — the network
 //                  tier: zero-copy length-prefixed tensor framing over
 //                  unix/TCP sockets into the same batcher queues as

@@ -2,7 +2,7 @@
 // classes the selection planner chooses between. Whatever the planner
 // picked, callers see the ConvPlan FX contract — set_kernels() once,
 // execute_pretransformed() many, blocked layouts in and out, fused
-// bias/ReLU epilogue — so Sequential layers and serving replicas can hold
+// bias/ReLU epilogue — so graph conv nodes and serving replicas can hold
 // an AutoConv wherever they held a ConvPlan.
 //
 //   Winograd  → ConvPlan with the selected tile_m and blocking overrides

@@ -144,11 +144,9 @@ void Engine::serve_batch(std::vector<PendingRequest> batch) {
       } else if (replica.auto_conv != nullptr) {
         replica.auto_conv->execute_pretransformed(in_staging_.data(),
                                                   out_staging_.data());
-      } else if (replica.plan != nullptr) {
+      } else {
         replica.plan->execute_pretransformed(in_staging_.data(),
                                              out_staging_.data());
-      } else {
-        replica.net->forward_into(in_staging_.data(), out_staging_.data());
       }
     }
     const double exec_ms = exec_timer.millis();

@@ -142,7 +142,10 @@ Model::Replica Model::replica(int bucket, const PlanOptions& options) {
   }
 
   // Network model: one replica per (bucket, options) fingerprint,
-  // constructed once under the model lock, weights shared from the base.
+  // compiled once under the model lock. Every replica after the first
+  // adopts an already compiled replica's transformed kernel banks
+  // wherever the conv's backend agrees (always, for fixed layers), so the
+  // model holds one W per conv however many buckets it serves.
   const std::string key =
       str_cat(bucket, "|", plan_options_fingerprint(options));
   std::shared_ptr<NetReplica> rep;
@@ -150,22 +153,21 @@ Model::Replica Model::replica(int bucket, const PlanOptions& options) {
     std::lock_guard<std::mutex> lock(net_mu_);
     auto it = net_replicas_.find(key);
     if (it == net_replicas_.end()) {
+      const graph::Executor* sibling =
+          net_replicas_.empty() ? nullptr
+                                : net_replicas_.begin()->second->graph.get();
+      graph::CompileOptions copts;
+      copts.plan = options;
+      copts.pool = &pool_;
       auto fresh = std::make_shared<NetReplica>();
-      fresh->net = base_net_->replica(bucket, options);
-      if (config_.graph_exec) {
-        graph::CompileOptions copts;
-        copts.plan = fresh->net->plan_options();
-        copts.pool = &pool_;
-        fresh->graph = std::make_unique<graph::Executor>(
-            fresh->net->to_graph(), copts);
-      }
+      fresh->graph = std::make_unique<graph::Executor>(
+          base_net_->to_graph(bucket, options), copts, sibling);
       it = net_replicas_.emplace(key, std::move(fresh)).first;
     }
     rep = it->second;
   }
   Replica r;
   r.exec_mutex = &rep->exec_mutex;
-  r.net = rep->net.get();
   r.graph = rep->graph.get();
   return r;
 }

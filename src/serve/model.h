@@ -1,6 +1,7 @@
 // A registered serving target: a named convolution (ConvProblem + blocked
-// weights) or network (Sequential), its request batcher, its lazily built
-// per-batch-size execution replicas, and its serving counters.
+// weights) or network (a Sequential, run as graph::Executor replicas),
+// its request batcher, its lazily built per-batch-size execution
+// replicas, and its serving counters.
 //
 // Replica management is where the paper's plan-once/execute-many design
 // meets serving reality: requests arrive one sample at a time, but plans
@@ -10,6 +11,9 @@
 // rows. Conv replicas are deduplicated across engines through the
 // PlanCache, and every replica shares one immutable pre-transformed W —
 // the first replica pays the kernel transform, the rest adopt it.
+// Network replicas are graph executors compiled from
+// Sequential::to_graph(bucket, options); each adopts an earlier replica's
+// transformed banks wherever its conv steps match (graph/executor.h).
 //
 // With ModelConfig::auto_select on, conv replicas instead come from the
 // selection planner (ondwin::select): each bucket independently picks the
@@ -45,8 +49,8 @@ class Model {
         PlanCache* cache);
 
   /// A network model. The Sequential's own batch size is irrelevant —
-  /// replicas are rebuilt per bucket; its weights are shared, never
-  /// copied or re-randomized.
+  /// replicas are lowered and compiled per bucket; its weights are used
+  /// as they are, never re-randomized.
   Model(std::string name, std::shared_ptr<const Sequential> net,
         const ModelConfig& config, PlanCache* cache);
 
@@ -79,20 +83,16 @@ class Model {
   int bucket_for(int batch) const;
 
   /// A ready-to-execute replica for `bucket` samples under `options`.
-  /// Exactly one of plan/net/auto_conv is non-null; the caller must hold
+  /// Exactly one of plan/auto_conv/graph is non-null; the caller must hold
   /// *exec_mutex around the execution (replicas are stateful and may be
   /// shared by engines with identical options).
   struct Replica {
     std::mutex* exec_mutex = nullptr;
     ConvPlan* plan = nullptr;
-    Sequential* net = nullptr;
     select::AutoConv* auto_conv = nullptr;  // conv model with auto_select
     /// The planner's decision behind auto_conv (nullptr otherwise).
     const select::SelectedConfig* selected = nullptr;
-    /// Network model with ModelConfig::graph_exec: the compiled graph
-    /// executor (preferred over `net` when non-null; `net` stays set as
-    /// the layer-at-a-time reference).
-    graph::Executor* graph = nullptr;
+    graph::Executor* graph = nullptr;  // network model
   };
   Replica replica(int bucket, const PlanOptions& options);
 
@@ -113,10 +113,9 @@ class Model {
   obs::Histogram batch_occupancy{{1, 2, 4, 8, 16, 32, 64}};
 
  private:
+  // Network model: the net lowered + compiled for one (bucket, options)
+  // key, arena slab checked out of the model pool.
   struct NetReplica {
-    std::unique_ptr<Sequential> net;
-    // ModelConfig::graph_exec: the net lowered + compiled at replica
-    // creation, arena slab checked out of the model pool.
     std::unique_ptr<graph::Executor> graph;
     std::mutex exec_mutex;
   };

@@ -4,7 +4,8 @@
 // The serving pipeline is
 //
 //   submit()/submit_async() → per-model RequestQueue → Batcher (flush on
-//   batch-full or deadline) → worker Engine (per-batch-size plan replica)
+//   batch-full or deadline) → worker Engine (per-batch-size replica: a
+//   ConvPlan or AutoConv for conv models, a graph::Executor for networks)
 //   → completion callback (a future for in-proc submit(), a socket write
 //   for the rpc tier)
 //
@@ -79,14 +80,6 @@ struct ModelConfig {
   /// bound). The `plan` field inside is ignored: the model's own `plan`
   /// governs execution and carries the wisdom path.
   select::SelectOptions select;
-
-  /// When true, network models execute through graph::Executor instead of
-  /// layer-at-a-time Sequential: each replica's net is lowered to the
-  /// graph IR, bias/ReLU/pool chains fuse into conv epilogues, and all
-  /// intermediate activations live in one lifetime-planned slab checked
-  /// out of the model's WorkspacePool. Output is bitwise identical to the
-  /// Sequential path. Conv models ignore this.
-  bool graph_exec = false;
 };
 
 /// Server-wide configuration.

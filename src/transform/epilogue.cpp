@@ -58,7 +58,7 @@ void store_tile_pooled(const float* staged, float* pooled_plane,
     float acc[kSimdWidth];
     for (int s = 0; s < kSimdWidth; ++s) acc[s] = -3.4e38f;
     // Row-major walk of the window — the same visit order (and therefore
-    // the same std::max chain) as net::Sequential's standalone pool.
+    // the same std::max chain) as graph::max_pool_blocked.
     i64 k[kMaxNd] = {};
     for (;;) {
       i64 soff = 0;

@@ -12,7 +12,7 @@
 // tile_m[d] % window == 0 every pool window lies entirely inside one tile
 // and the tiles can reduce their windows independently (same partition as
 // the un-pooled store, just w^rank-fold smaller). Values and reduction
-// order match net::Sequential's standalone pool exactly — init -3.4e38f,
+// order match the standalone graph::max_pool_blocked exactly — init -3.4e38f,
 // row-major window walk, std::max — so fusion stays a scheduling
 // transformation, never a numeric one.
 #pragma once
@@ -32,7 +32,7 @@ struct Epilogue {
   /// Apply max(x, 0) after the (optional) bias.
   bool relu = false;
   /// Fused max-pool window (cubic, stride == window, floor semantics —
-  /// exactly net::Sequential's pool). 0 or 1 = no pooling. When > 1 the
+  /// exactly graph::max_pool_blocked). 0 or 1 = no pooling. When > 1 the
   /// convolution writes the POOLED image (out_dims[d] / window per dim)
   /// into `output`, and the plan requires tile_m[d] % window == 0 for
   /// every dimension so pool windows never straddle tile boundaries.

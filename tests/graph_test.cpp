@@ -1,10 +1,12 @@
 // ondwin::graph coverage: IR construction, fusion legality, the buffer
-// lifetime planner, and — the load-bearing contract — bitwise identity of
-// graph execution against layer-at-a-time Sequential, under both staged
-// and fused tile-block Winograd, with fusion on and off, standalone and
-// through the serving tier.
+// lifetime planner, and the execution contracts: fused graphs are bitwise
+// identical to unfused ones under both staged and fused tile-block
+// Winograd, 2D and 3D, and every executor output matches the naive
+// reference (tests/graph_reference.h) — for Winograd, FFT and direct conv
+// nodes alike, standalone and through the serving tier.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "graph/ir.h"
 #include "graph/memory_planner.h"
 #include "graph/ops.h"
+#include "graph_reference.h"
 #include "net/sequential.h"
 #include "serve/server.h"
 #include "util/rng.h"
@@ -29,6 +32,9 @@ using graph::MemoryPlan;
 using graph::OpKind;
 using graph::Step;
 using graph::ValueId;
+using oracle::kGraphTolerance;
+using oracle::reference_forward;
+using oracle::rel_l2_error;
 
 PlanOptions one_thread() {
   PlanOptions o;
@@ -49,52 +55,85 @@ void fill_random(AlignedBuffer<float>& buf, std::size_t n, u64 seed) {
   for (auto& v : buf) v = rng.uniform(-0.5f, 0.5f);
 }
 
+/// Gives conv layer `layer` random He-scaled weights and a nonzero bias
+/// (randomize_weights() leaves biases at zero, so a dropped bias would
+/// go unnoticed).
+void randomize_layer(Sequential& net, int layer, i64 cin, i64 cout,
+                     i64 taps, Rng& rng) {
+  std::vector<float> w(static_cast<std::size_t>(cin * cout * taps));
+  std::vector<float> b(static_cast<std::size_t>(cout));
+  const float stddev = std::sqrt(2.0f / static_cast<float>(cin * taps));
+  for (auto& v : w) v = rng.gaussian(0.0f, stddev);
+  for (auto& v : b) v = rng.uniform(-0.2f, 0.2f);
+  net.set_conv_weights(layer, w.data(), b.data());
+}
+
 /// A small VGG-flavored 2D stack: conv+relu pairs with pool-foldable and
 /// pool-unfoldable windows mixed in.
 std::unique_ptr<Sequential> vgg_ish(const PlanOptions& opts) {
   auto net = std::make_unique<Sequential>(2, 16, Dims{16, 16}, opts);
-  net->add_conv(32, {3, 3}, {1, 1}, {4, 4}, /*relu=*/true);
-  net->add_conv(32, {3, 3}, {1, 1}, {4, 4}, /*relu=*/true);
-  net->add_max_pool(2);  // foldable: 4 % 2 == 0
-  net->add_conv(64, {3, 3}, {1, 1}, {3, 3}, /*relu=*/true);
-  net->add_max_pool(2);  // NOT foldable: 3 % 2 != 0 — stays standalone
-  net->add_conv(64, {3, 3}, {1, 1}, {2, 2}, /*relu=*/false);
   Rng rng(0xBEEF);
-  net->randomize_weights(rng);
+  randomize_layer(*net, net->add_conv(32, {3, 3}, {1, 1}, {4, 4}), 16, 32,
+                  9, rng);
+  randomize_layer(*net, net->add_conv(32, {3, 3}, {1, 1}, {4, 4}), 32, 32,
+                  9, rng);
+  net->add_max_pool(2);  // foldable: 4 % 2 == 0
+  randomize_layer(*net, net->add_conv(64, {3, 3}, {1, 1}, {3, 3}), 32, 64,
+                  9, rng);
+  net->add_max_pool(2);  // NOT foldable: 3 % 2 != 0 — stays standalone
+  randomize_layer(*net,
+                  net->add_conv(64, {3, 3}, {1, 1}, {2, 2}, /*relu=*/false),
+                  64, 64, 9, rng);
   return net;
 }
 
 /// A C3D-flavored 3D stack (video-style volumetric convs + 3D pool).
 std::unique_ptr<Sequential> c3d_ish(const PlanOptions& opts) {
   auto net = std::make_unique<Sequential>(1, 16, Dims{8, 12, 12}, opts);
-  net->add_conv(32, {3, 3, 3}, {1, 1, 1}, {2, 2, 2}, /*relu=*/true);
-  net->add_max_pool(2);  // foldable in all three dimensions
-  net->add_conv(32, {3, 3, 3}, {1, 1, 1}, {2, 2, 2}, /*relu=*/true);
   Rng rng(0xC3D);
-  net->randomize_weights(rng);
+  randomize_layer(*net, net->add_conv(32, {3, 3, 3}, {1, 1, 1}, {2, 2, 2}),
+                  16, 32, 27, rng);
+  net->add_max_pool(2);  // foldable in all three dimensions
+  randomize_layer(*net, net->add_conv(32, {3, 3, 3}, {1, 1, 1}, {2, 2, 2}),
+                  32, 32, 27, rng);
   return net;
 }
 
-void expect_graph_matches_net(Sequential& net, const CompileOptions& copts) {
-  Executor exec(net.to_graph(), copts);
-  ASSERT_EQ(exec.input_layout().total_floats(),
+/// Compiles `net` fused and unfused under `plan` and checks, over two
+/// inputs (the second catches state leaking between execute() calls),
+/// that the two agree bitwise and that both match the naive reference.
+void expect_fused_matches_unfused_and_reference(const Sequential& net,
+                                                const PlanOptions& plan) {
+  CompileOptions fused;
+  fused.plan = plan;
+  CompileOptions unfused = fused;
+  unfused.fusion = false;
+  const Graph oracle = net.to_graph();
+  Executor a(net.to_graph(), fused);
+  Executor b(net.to_graph(), unfused);
+  ASSERT_EQ(a.input_layout().total_floats(),
             net.input_layout().total_floats());
-  ASSERT_EQ(exec.output_layout().total_floats(),
+  ASSERT_EQ(a.output_layout().total_floats(),
             net.output_layout().total_floats());
+  EXPECT_GT(a.fusion().folded_nodes, 0);
+  EXPECT_EQ(b.fusion().folded_nodes, 0);
+  EXPECT_LT(a.step_count(), b.step_count());
 
   const std::size_t sin =
       static_cast<std::size_t>(net.input_layout().total_floats());
   const std::size_t sout =
       static_cast<std::size_t>(net.output_layout().total_floats());
-  AlignedBuffer<float> in, want(sout), got(sout);
-  // Two rounds: the second catches state leaking between execute() calls.
+  AlignedBuffer<float> in, ya(sout), yb(sout);
   for (u64 round = 0; round < 2; ++round) {
     fill_random(in, sin, 0x5EED + round);
-    net.forward_into(in.data(), want.data());
-    exec.execute(in.data(), got.data());
-    ASSERT_EQ(std::memcmp(got.data(), want.data(), sout * sizeof(float)), 0)
+    a.execute(in.data(), ya.data());
+    b.execute(in.data(), yb.data());
+    ASSERT_EQ(std::memcmp(ya.data(), yb.data(), sout * sizeof(float)), 0)
         << "round " << round << "\n"
-        << exec.summary();
+        << a.summary();
+    const std::vector<float> want = reference_forward(oracle, in.data());
+    EXPECT_LE(rel_l2_error(ya.data(), want.data(), sout), kGraphTolerance)
+        << "round " << round;
   }
 }
 
@@ -319,50 +358,21 @@ TEST(GraphEpilogue, PooledConvMatchesConvThenStandalonePool) {
 
 // --------------------------------------------------- executor identity
 
-TEST(GraphExecutor, VggIshMatchesSequentialStaged) {
-  auto net = vgg_ish(two_threads(FusionMode::kStaged));
-  CompileOptions copts;
-  copts.plan = net->plan_options();
-  expect_graph_matches_net(*net, copts);
+TEST(GraphExecutor, VggIshStagedMatchesUnfusedAndReference) {
+  const PlanOptions plan = two_threads(FusionMode::kStaged);
+  expect_fused_matches_unfused_and_reference(*vgg_ish(plan), plan);
 }
 
-TEST(GraphExecutor, VggIshMatchesSequentialFused) {
-  auto net = vgg_ish(two_threads(FusionMode::kFused));
-  CompileOptions copts;
-  copts.plan = net->plan_options();
-  expect_graph_matches_net(*net, copts);
+TEST(GraphExecutor, VggIshFusedTileMatchesUnfusedAndReference) {
+  const PlanOptions plan = two_threads(FusionMode::kFused);
+  expect_fused_matches_unfused_and_reference(*vgg_ish(plan), plan);
 }
 
-TEST(GraphExecutor, C3dIshMatchesSequentialStagedAndFused) {
+TEST(GraphExecutor, C3dIshStagedAndFusedTileMatchUnfusedAndReference) {
   for (FusionMode mode : {FusionMode::kStaged, FusionMode::kFused}) {
-    auto net = c3d_ish(two_threads(mode));
-    CompileOptions copts;
-    copts.plan = net->plan_options();
-    expect_graph_matches_net(*net, copts);
+    const PlanOptions plan = two_threads(mode);
+    expect_fused_matches_unfused_and_reference(*c3d_ish(plan), plan);
   }
-}
-
-TEST(GraphExecutor, FusionOffIsBitwiseIdenticalToFusionOn) {
-  auto net = vgg_ish(two_threads());
-  CompileOptions fused;
-  fused.plan = net->plan_options();
-  CompileOptions unfused = fused;
-  unfused.fusion = false;
-  Executor a(net->to_graph(), fused);
-  Executor b(net->to_graph(), unfused);
-  EXPECT_GT(a.fusion().folded_nodes, 0);
-  EXPECT_EQ(b.fusion().folded_nodes, 0);
-  EXPECT_LT(a.step_count(), b.step_count());
-
-  const std::size_t sin =
-      static_cast<std::size_t>(a.input_layout().total_floats());
-  const std::size_t sout =
-      static_cast<std::size_t>(a.output_layout().total_floats());
-  AlignedBuffer<float> in, ya(sout), yb(sout);
-  fill_random(in, sin, 0xF00D);
-  a.execute(in.data(), ya.data());
-  b.execute(in.data(), yb.data());
-  EXPECT_EQ(std::memcmp(ya.data(), yb.data(), sout * sizeof(float)), 0);
 }
 
 TEST(GraphExecutor, ResidualAddRunsAndMatchesManualReference) {
@@ -413,13 +423,14 @@ TEST(GraphExecutor, ResidualAddRunsAndMatchesManualReference) {
 }
 
 TEST(GraphExecutor, BlockingOverridesMatchExplicitPlanOptions) {
-  // A node-level Blocking override must reproduce a ConvPlan built with
-  // the same options (that is how auto-selected layers keep their bits).
-  Blocking blk;
-  blk.n_blk = 2;
-  blk.c_blk = 16;
+  // A node config's blocking must reproduce a ConvPlan built with the
+  // same options (that is how auto-selected layers keep their bits).
+  select::SelectedConfig config;
+  config.tile_m = {4, 4};
+  config.blocking.n_blk = 2;
+  config.blocking.c_blk = 16;
   Graph g(2, 32, {12, 12});
-  ValueId v = g.conv(g.input(), 32, {3, 3}, {1, 1}, {4, 4}, blk);
+  ValueId v = g.conv(g.input(), 32, {3, 3}, {1, 1}, config);
   g.mark_output(v);
   AlignedBuffer<float> w(g.nodes()[0].weights.size());
   std::memcpy(w.data(), g.nodes()[0].weights.data(),
@@ -447,43 +458,98 @@ TEST(GraphExecutor, BlockingOverridesMatchExplicitPlanOptions) {
   EXPECT_EQ(std::memcmp(got.data(), want.data(), sout * sizeof(float)), 0);
 }
 
-// ------------------------------------------------------------- serving
+// ------------------------------------------------------- mixed backends
 
-TEST(GraphServe, GraphExecModelMatchesSequentialModelBitwise) {
-  auto base = std::make_shared<Sequential>(1, 16, Dims{16, 16}, one_thread());
-  base->add_conv(32, {3, 3}, {1, 1}, {4, 4}, /*relu=*/true);
-  base->add_max_pool(2);
-  base->add_conv(32, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
-  Rng rng(0x5EEE);
-  base->randomize_weights(rng);
+// Auto layers forced onto FFT and direct lower, fold their bias and relu,
+// keep their pools standalone (only the Winograd epilogue pools per
+// tile), match the naive reference, and serve.
+TEST(GraphMixedBackend, FftAndDirectLayersLowerFuseAndServe) {
+  select::SelectOptions fft_only;
+  fft_only.allow_winograd = false;
+  fft_only.allow_direct = false;
+  fft_only.measure = false;
+  select::SelectOptions direct_only = fft_only;
+  direct_only.allow_fft = false;
+  direct_only.allow_direct = true;
+
+  auto net = std::make_shared<Sequential>(1, 16, Dims{16, 16}, one_thread());
+  Rng rng(0x3B1D);
+  randomize_layer(*net,
+                  net->add_conv_auto(32, {5, 5}, {2, 2}, /*relu=*/true,
+                                     fft_only),
+                  16, 32, 25, rng);
+  net->add_max_pool(2);
+  randomize_layer(*net,
+                  net->add_conv_auto(32, {3, 3}, {1, 1}, /*relu=*/true,
+                                     direct_only),
+                  32, 32, 9, rng);
+  net->add_max_pool(2);
+  ASSERT_EQ(net->selected_config(0).algorithm, select::Algorithm::kFft);
+  ASSERT_EQ(net->selected_config(2).algorithm, select::Algorithm::kDirect);
+
+  const Graph oracle = net->to_graph();
+  std::vector<select::Algorithm> lowered;
+  for (const graph::Node& n : oracle.nodes()) {
+    if (n.kind == OpKind::kConv) lowered.push_back(n.config.algorithm);
+  }
+  ASSERT_EQ(lowered, (std::vector<select::Algorithm>{
+                         select::Algorithm::kFft, select::Algorithm::kDirect}));
+
+  CompileOptions copts;
+  copts.plan = one_thread();
+  Executor exec(net->to_graph(), copts);
+  int conv_steps = 0, pool_steps = 0;
+  for (const Step& st : exec.fusion().steps) {
+    if (st.kind == OpKind::kConv) {
+      ++conv_steps;
+      EXPECT_NE(st.bias, nullptr);
+      EXPECT_TRUE(st.relu);
+      EXPECT_EQ(st.pool_window, 0);
+    } else if (st.kind == OpKind::kMaxPool) {
+      ++pool_steps;
+    }
+  }
+  EXPECT_EQ(conv_steps, 2);
+  EXPECT_EQ(pool_steps, 2);
+  EXPECT_EQ(exec.fusion().fused_pools, 0);
+  EXPECT_EQ(exec.fusion().folded_nodes, 4);  // bias + relu, twice
 
   const std::size_t sin =
-      static_cast<std::size_t>(base->input_layout().total_floats());
+      static_cast<std::size_t>(net->input_layout().total_floats());
   const std::size_t sout =
-      static_cast<std::size_t>(base->output_layout().total_floats());
+      static_cast<std::size_t>(net->output_layout().total_floats());
+  constexpr int kSamples = 4;
+  std::vector<AlignedBuffer<float>> inputs(kSamples);
+  std::vector<std::vector<float>> refs;
+  AlignedBuffer<float> got(sout);
+  for (int s = 0; s < kSamples; ++s) {
+    AlignedBuffer<float>& in = inputs[static_cast<std::size_t>(s)];
+    fill_random(in, sin, 0x41C0 + static_cast<u64>(s));
+    refs.push_back(reference_forward(oracle, in.data()));
+    exec.execute(in.data(), got.data());
+    EXPECT_LE(rel_l2_error(got.data(), refs.back().data(), sout),
+              kGraphTolerance)
+        << "sample " << s;
+  }
 
   serve::InferenceServer server;
-  serve::ModelConfig plain;
-  plain.batching.max_batch = 4;
-  plain.batching.max_delay_ms = 0.5;
-  plain.plan = one_thread();
-  serve::ModelConfig graphed = plain;
-  graphed.graph_exec = true;
-  server.register_network("net", base, plain);
-  server.register_network("net_graph", base, graphed);
-
-  constexpr int kSamples = 6;
+  serve::ModelConfig config;
+  config.batching.max_batch = 4;
+  config.batching.max_delay_ms = 0.5;
+  config.plan = one_thread();
+  server.register_network("mixed", net, config);
+  std::vector<serve::ResultFuture> futures;
   for (int s = 0; s < kSamples; ++s) {
-    AlignedBuffer<float> in;
-    fill_random(in, sin, 0x9000 + static_cast<u64>(s));
-    serve::InferenceResult a = server.submit("net", in.data()).get();
-    serve::InferenceResult b = server.submit("net_graph", in.data()).get();
-    ASSERT_EQ(a.output.size(), sout);
-    ASSERT_EQ(b.output.size(), sout);
-    EXPECT_EQ(std::memcmp(a.output.data(), b.output.data(),
-                          sout * sizeof(float)),
-              0)
-        << "sample " << s;
+    futures.push_back(
+        server.submit("mixed", inputs[static_cast<std::size_t>(s)].data()));
+  }
+  for (int s = 0; s < kSamples; ++s) {
+    serve::InferenceResult r = futures[static_cast<std::size_t>(s)].get();
+    ASSERT_EQ(r.output.size(), sout);
+    EXPECT_LE(rel_l2_error(r.output.data(),
+                           refs[static_cast<std::size_t>(s)].data(), sout),
+              kGraphTolerance)
+        << "served sample " << s;
   }
 }
 

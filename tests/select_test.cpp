@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "baseline/direct_conv.h"
+#include "graph/executor.h"
 #include "net/sequential.h"
 #include "serve/server.h"
 #include "tensor/layout.h"
@@ -261,7 +263,6 @@ TEST(SelectSequential, AutoLayerMatchesFixedLayer) {
   sopts.budget_seconds = 0.1;
   sopts.top_k = 1;
   autod.add_conv_auto(16, k3, p1, /*relu=*/true, sopts);
-  EXPECT_GT(autod.workspace_bytes(), 0);
   EXPECT_NE(autod.summary().find("auto["), std::string::npos);
 
   // Identical plain weights into both networks.
@@ -273,47 +274,47 @@ TEST(SelectSequential, AutoLayerMatchesFixedLayer) {
   fixed.set_conv_weights(0, w.data(), b.data());
   autod.set_conv_weights(0, w.data(), b.data());
 
-  AlignedBuffer<float> in(
-      static_cast<std::size_t>(fixed.input_layout().total_floats()));
+  // The lowered conv node carries the planner's decision.
+  const graph::Graph lowered = autod.to_graph();
+  EXPECT_EQ(lowered.nodes()[0].config.algorithm,
+            autod.selected_config(0).algorithm);
+
+  graph::CompileOptions copts;
+  copts.plan = po;
+  graph::Executor fixed_exec(fixed.to_graph(), copts);
+  graph::Executor auto_exec(autod.to_graph(), copts);
+  const i64 sample = fixed.input_layout().total_floats();
+  const i64 out_sample = fixed.output_layout().total_floats();
+  AlignedBuffer<float> in(static_cast<std::size_t>(sample));
   for (auto& v : in) v = rng.uniform(-0.5f, 0.5f);
-  const float* of = fixed.forward(in.data());
-  std::vector<float> fixed_out(
-      of, of + fixed.output_layout().total_floats());
-  const float* oa = autod.forward(in.data());
+  std::vector<float> fixed_out(static_cast<std::size_t>(out_sample));
+  std::vector<float> auto_out(fixed_out.size());
+  fixed_exec.execute(in.data(), fixed_out.data());
+  auto_exec.execute(in.data(), auto_out.data());
 
   double diff = 0;
-  for (i64 i = 0; i < fixed.output_layout().total_floats(); ++i) {
+  for (std::size_t i = 0; i < fixed_out.size(); ++i) {
     diff = std::max(diff,
-                    static_cast<double>(std::abs(fixed_out[
-                        static_cast<std::size_t>(i)] - oa[i])));
+                    static_cast<double>(std::abs(fixed_out[i] - auto_out[i])));
   }
   EXPECT_LT(diff, 1e-3);
 
-  // Replicas re-select at their batch size (served traffic path) and
-  // still carry the same weights.
-  auto rep = autod.replica(2);
-  const auto& sel = rep->selected_config(0);
-  EXPECT_TRUE(sel.algorithm == select::Algorithm::kWinograd ||
-              sel.algorithm == select::Algorithm::kDirect ||
-              sel.algorithm == select::Algorithm::kFft);
-  AlignedBuffer<float> in2(
-      static_cast<std::size_t>(rep->input_layout().total_floats()));
-  const i64 sample = fixed.input_layout().total_floats();
+  // A lowering at batch 2 re-selects at that batch size (the served
+  // traffic path) and still carries the same weights.
+  graph::Executor rep(autod.to_graph(2, po), copts);
+  AlignedBuffer<float> in2(static_cast<std::size_t>(2 * sample));
   std::memcpy(in2.data(), in.data(),
               static_cast<std::size_t>(sample) * sizeof(float));
   std::memcpy(in2.data() + sample, in.data(),
               static_cast<std::size_t>(sample) * sizeof(float));
-  const float* o2 = rep->forward(in2.data());
-  const i64 out_sample = fixed.output_layout().total_floats();
+  std::vector<float> o2(2 * fixed_out.size());
+  rep.execute(in2.data(), o2.data());
   double rep_diff = 0;
-  for (i64 i = 0; i < out_sample; ++i) {
+  for (std::size_t i = 0; i < fixed_out.size(); ++i) {
     rep_diff = std::max(
-        rep_diff,
-        std::max(static_cast<double>(std::abs(
-                     fixed_out[static_cast<std::size_t>(i)] - o2[i])),
-                 static_cast<double>(std::abs(
-                     fixed_out[static_cast<std::size_t>(i)] -
-                     o2[out_sample + i]))));
+        {rep_diff, static_cast<double>(std::abs(fixed_out[i] - o2[i])),
+         static_cast<double>(
+             std::abs(fixed_out[i] - o2[fixed_out.size() + i]))});
   }
   EXPECT_LT(rep_diff, 1e-3);
 }

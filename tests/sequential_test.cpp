@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "baseline/direct_conv.h"
+#include "graph/executor.h"
 #include "util/rng.h"
 
 namespace ondwin {
@@ -14,6 +16,17 @@ PlanOptions two_threads() {
   PlanOptions o;
   o.threads = 2;
   return o;
+}
+
+/// Runs `net` once through a graph::Executor compiled from to_graph().
+std::vector<float> run(const Sequential& net, const float* input) {
+  graph::CompileOptions copts;
+  copts.plan = net.plan_options();
+  graph::Executor exec(net.to_graph(), copts);
+  std::vector<float> out(
+      static_cast<std::size_t>(net.output_layout().total_floats()));
+  exec.execute(input, out.data());
+  return out;
 }
 
 TEST(Sequential, SingleConvMatchesNaivePlusEpilogue) {
@@ -39,12 +52,12 @@ TEST(Sequential, SingleConvMatchesNaivePlusEpilogue) {
   AlignedBuffer<float> in_b(
       static_cast<std::size_t>(net.input_layout().total_floats()));
   pack_image(in_plain.data(), in_b.data(), net.input_layout());
-  const float* out_b = net.forward(in_b.data());
+  const std::vector<float> out_b = run(net, in_b.data());
 
   std::vector<float> ref(static_cast<std::size_t>(s.output_floats()));
   naive_conv(s, in_plain.data(), w_plain.data(), ref.data());
   std::vector<float> got(ref.size());
-  unpack_image(out_b, got.data(), net.output_layout());
+  unpack_image(out_b.data(), got.data(), net.output_layout());
 
   const i64 opx = s.output().product();
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -79,10 +92,9 @@ TEST(Sequential, MaxPoolIsCorrectOnBlockedLayout) {
   for (auto& v : plain) v = rng.uniform(-1, 1);
   pack_image(plain.data(), in.data(), in_l);
 
-  const float* out = net.forward(in.data());
-  std::vector<float> got(
-      static_cast<std::size_t>(net.output_layout().total_floats()));
-  unpack_image(out, got.data(), net.output_layout());
+  const std::vector<float> out = run(net, in.data());
+  std::vector<float> got(out.size());
+  unpack_image(out.data(), got.data(), net.output_layout());
 
   for (i64 c = 0; c < 16; ++c) {
     for (i64 y = 0; y < 2; ++y) {
@@ -102,7 +114,7 @@ TEST(Sequential, MaxPoolIsCorrectOnBlockedLayout) {
   }
 }
 
-TEST(Sequential, ForwardIsDeterministic) {
+TEST(Sequential, LoweredNetIsDeterministic) {
   Sequential net(1, 16, {12, 12}, two_threads());
   net.add_conv(16, {3, 3}, {1, 1}, {2, 2});
   net.add_conv(16, {3, 3}, {1, 1}, {2, 2});
@@ -114,16 +126,20 @@ TEST(Sequential, ForwardIsDeterministic) {
   Rng irng(10);
   for (auto& v : in) v = irng.uniform(-1, 1);
 
-  const float* o1 = net.forward(in.data());
-  std::vector<float> first(
-      o1, o1 + net.output_layout().total_floats());
-  const float* o2 = net.forward(in.data());
-  for (i64 i = 0; i < net.output_layout().total_floats(); ++i) {
-    ASSERT_EQ(first[static_cast<std::size_t>(i)], o2[i]);
-  }
-  EXPECT_GT(net.last_forward_seconds(), 0.0);
-  EXPECT_GT(net.layer_seconds(0), 0.0);
-  EXPECT_GT(net.workspace_bytes(), 0);
+  graph::CompileOptions copts;
+  copts.plan = net.plan_options();
+  graph::Executor exec(net.to_graph(), copts);
+  const std::size_t n =
+      static_cast<std::size_t>(net.output_layout().total_floats());
+  std::vector<float> first(n), second(n);
+  exec.execute(in.data(), first.data());
+  exec.execute(in.data(), second.data());
+  EXPECT_EQ(std::memcmp(first.data(), second.data(), n * sizeof(float)), 0);
+  // Two lowerings of one builder carry the same weights.
+  EXPECT_EQ(run(net, in.data()), first);
+  EXPECT_GT(exec.last_execute_seconds(), 0.0);
+  EXPECT_GT(exec.step_seconds(0), 0.0);
+  EXPECT_GT(exec.arena_bytes(), 0);
 }
 
 TEST(Sequential, ThreeDimensionalStack) {
@@ -136,40 +152,45 @@ TEST(Sequential, ThreeDimensionalStack) {
   AlignedBuffer<float> in(
       static_cast<std::size_t>(net.input_layout().total_floats()));
   for (auto& v : in) v = rng.uniform(-1, 1);
-  const float* out = net.forward(in.data());
   // ReLU output must be non-negative everywhere after a conv+relu layer,
   // and max-pool preserves that.
-  for (i64 i = 0; i < net.output_layout().total_floats(); ++i) {
-    EXPECT_GE(out[i], 0.0f);
-  }
+  for (float v : run(net, in.data())) EXPECT_GE(v, 0.0f);
 }
 
-TEST(Sequential, ForwardIntoMatchesForward) {
-  Sequential net(1, 16, {12, 12}, two_threads());
-  net.add_conv(16, {3, 3}, {1, 1}, {2, 2});
+TEST(Sequential, ToGraphCarriesWeightsBiasAndRelu) {
+  Sequential net(1, 16, {8, 8}, two_threads());
+  net.add_conv(16, {3, 3}, {1, 1}, {2, 2}, /*relu=*/false);
   net.add_max_pool(2);
+  std::vector<float> w(16 * 16 * 9), b(16);
   Rng rng(4);
-  net.randomize_weights(rng);
+  for (auto& v : w) v = rng.uniform(-1, 1);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  net.set_conv_weights(0, w.data(), b.data());
 
-  AlignedBuffer<float> in(
-      static_cast<std::size_t>(net.input_layout().total_floats()));
-  Rng irng(5);
-  for (auto& v : in) v = irng.uniform(-1, 1);
-  const i64 total = net.output_layout().total_floats();
-
-  const float* o = net.forward(in.data());
-  std::vector<float> kept(o, o + total);
-  AlignedBuffer<float> out(static_cast<std::size_t>(total));
-  net.forward_into(in.data(), out.data());
-  for (i64 i = 0; i < total; ++i) {
-    ASSERT_EQ(kept[static_cast<std::size_t>(i)], out.data()[i]);
-  }
+  const graph::Graph g = net.to_graph();
+  ASSERT_EQ(g.nodes().size(), 3u);  // conv → bias → pool: no relu node
+  const graph::Node& conv = g.nodes()[0];
+  ASSERT_EQ(conv.kind, graph::OpKind::kConv);
+  EXPECT_EQ(conv.config.algorithm, select::Algorithm::kWinograd);
+  EXPECT_EQ(conv.problem.tile_m, (Dims{2, 2}));
+  AlignedBuffer<float> packed(conv.weights.size());
+  pack_kernels(w.data(), packed.data(), conv.problem.kernel_layout());
+  EXPECT_EQ(std::memcmp(packed.data(), conv.weights.data(),
+                        packed.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(g.nodes()[1].kind, graph::OpKind::kBias);
+  EXPECT_EQ(std::memcmp(g.nodes()[1].bias.data(), b.data(),
+                        b.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(g.nodes()[2].kind, graph::OpKind::kMaxPool);
+  EXPECT_EQ(g.output_layout().total_floats(),
+            net.output_layout().total_floats());
 }
 
-TEST(Sequential, ReplicaMatchesBaseBitwise) {
-  // A batch-2 replica carrying the base network's weights must produce,
-  // for each sample, exactly the bits the base network produces at batch 1
-  // (blocked layouts are batch-major, so sample s is a contiguous slab).
+TEST(Sequential, ToGraphAtBatchMatchesBatchOneBitwise) {
+  // A batch-2 lowering carrying the builder's weights must produce, for
+  // each sample, exactly the bits the batch-1 lowering produces (blocked
+  // layouts are batch-major, so sample s is a contiguous slab).
   Sequential base(1, 16, {8, 8}, two_threads());
   base.add_conv(16, {3, 3}, {1, 1}, {2, 2});
   base.add_conv(16, {3, 3}, {1, 1}, {2, 2}, /*relu=*/false);
@@ -178,32 +199,37 @@ TEST(Sequential, ReplicaMatchesBaseBitwise) {
 
   const i64 sin = base.input_layout().total_floats();
   const i64 sout = base.output_layout().total_floats();
-  auto rep = base.replica(2);
-  ASSERT_EQ(rep->input_layout().total_floats(), 2 * sin);
+  graph::CompileOptions copts;
+  copts.plan = base.plan_options();
+  graph::Executor two(base.to_graph(2, base.plan_options()), copts);
+  ASSERT_EQ(two.input_layout().total_floats(), 2 * sin);
 
   AlignedBuffer<float> in2(static_cast<std::size_t>(2 * sin));
   Rng irng(8);
   for (auto& v : in2) v = irng.uniform(-1, 1);
   AlignedBuffer<float> out2(static_cast<std::size_t>(2 * sout));
-  rep->forward_into(in2.data(), out2.data());
+  two.execute(in2.data(), out2.data());
 
   for (i64 s = 0; s < 2; ++s) {
-    const float* got = out2.data() + s * sout;
-    const float* one = base.forward(in2.data() + s * sin);
-    for (i64 i = 0; i < sout; ++i) {
-      ASSERT_EQ(one[i], got[i]) << "sample " << s << " element " << i;
-    }
+    const std::vector<float> one = run(base, in2.data() + s * sin);
+    EXPECT_EQ(std::memcmp(one.data(), out2.data() + s * sout,
+                          static_cast<std::size_t>(sout) * sizeof(float)),
+              0)
+        << "sample " << s;
   }
 }
 
 TEST(Sequential, Validation) {
   Sequential net(1, 16, {8, 8}, two_threads());
-  EXPECT_THROW(net.forward(nullptr), Error);         // no layers
+  EXPECT_THROW(net.to_graph(), Error);  // no layers
   EXPECT_THROW(net.output_layout(), Error);
   net.add_conv(16, {3, 3}, {1, 1}, {2, 2});
   EXPECT_THROW(net.set_conv_weights(5, nullptr, nullptr), std::exception);
   EXPECT_THROW(net.add_max_pool(0), Error);
   EXPECT_THROW(net.add_max_pool(100), Error);  // window > dims
+  EXPECT_THROW(net.add_conv(16, {3, 3}, {1, 1}, {15, 15}), Error);  // α > 16
+  EXPECT_EQ(net.layer_count(), 1);  // failed appends leave no layer behind
+  EXPECT_THROW(net.to_graph(0, net.plan_options()), Error);
 }
 
 }  // namespace

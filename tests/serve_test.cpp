@@ -11,7 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "graph/executor.h"
 #include "net/sequential.h"
+#include "serve/model.h"
 #include "util/rng.h"
 
 namespace ondwin::serve {
@@ -373,18 +375,24 @@ TEST(PlanCacheTest, ConcurrentGetOrCreateConstructsOnce) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-// Serving a whole network (conv+bias+ReLU+pool) matches the base network's
-// own batch-1 forward pass bit for bit.
-TEST(ServeNetwork, MatchesBaseNetworkBitwise) {
+// Serving a whole network (conv+bias+ReLU+pool) in batches matches a
+// batch-1 executor compiled from the base network bit for bit.
+TEST(ServeNetwork, MatchesBatchOneExecutorBitwise) {
   auto base = std::make_shared<Sequential>(1, 16, Dims{8, 8}, one_thread());
   base->add_conv(16, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
   base->add_max_pool(2);
+  base->add_conv(32, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
+  Rng rng(0x5EEE);
+  base->randomize_weights(rng);
 
   const std::size_t sin =
       static_cast<std::size_t>(base->input_layout().total_floats());
   const std::size_t sout =
       static_cast<std::size_t>(base->output_layout().total_floats());
 
+  graph::CompileOptions copts;
+  copts.plan = one_thread();
+  graph::Executor one(base->to_graph(), copts);
   constexpr int kSamples = 8;
   std::vector<AlignedBuffer<float>> inputs(kSamples);
   std::vector<AlignedBuffer<float>> expected(kSamples);
@@ -392,8 +400,8 @@ TEST(ServeNetwork, MatchesBaseNetworkBitwise) {
     fill_random(inputs[static_cast<std::size_t>(s)], sin,
                 0x2000 + static_cast<u64>(s));
     expected[static_cast<std::size_t>(s)].reset(sout);
-    base->forward_into(inputs[static_cast<std::size_t>(s)].data(),
-                       expected[static_cast<std::size_t>(s)].data());
+    one.execute(inputs[static_cast<std::size_t>(s)].data(),
+                expected[static_cast<std::size_t>(s)].data());
   }
 
   InferenceServer server;
@@ -413,6 +421,57 @@ TEST(ServeNetwork, MatchesBaseNetworkBitwise) {
     ASSERT_EQ(r.output.size(), sout);
     EXPECT_EQ(std::memcmp(r.output.data(),
                           expected[static_cast<std::size_t>(s)].data(),
+                          sout * sizeof(float)),
+              0)
+        << "sample " << s;
+  }
+}
+
+// Every batch-size replica of a network adopts the first replica's
+// transformed kernel banks: one W per conv, however many buckets serve.
+TEST(ServeNetwork, BucketReplicasShareTransformedKernels) {
+  auto base = std::make_shared<Sequential>(1, 16, Dims{8, 8}, one_thread());
+  base->add_conv(16, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
+  base->add_max_pool(2);
+  base->add_conv(32, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
+  Rng rng(0x5A4E);
+  base->randomize_weights(rng);
+
+  ModelConfig config;
+  config.batching.max_batch = 8;
+  config.plan = one_thread();
+  Model model("net", base, config, nullptr);
+  const Model::Replica r1 = model.replica(1, config.plan);
+  const Model::Replica r8 = model.replica(8, config.plan);
+  ASSERT_NE(r1.graph, nullptr);
+  ASSERT_NE(r8.graph, nullptr);
+  ASSERT_NE(r1.graph, r8.graph);
+  ASSERT_EQ(r1.graph->step_count(), r8.graph->step_count());
+  int convs = 0;
+  for (std::size_t i = 0; i < r1.graph->step_count(); ++i) {
+    const select::AutoConv* a = r1.graph->step_conv(i);
+    const select::AutoConv* b = r8.graph->step_conv(i);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "step " << i;
+    if (a == nullptr) continue;
+    ++convs;
+    const SharedKernels wa = a->export_kernels();
+    ASSERT_NE(wa.data, nullptr) << "step " << i;
+    EXPECT_EQ(wa.data.get(), b->export_kernels().data.get()) << "step " << i;
+  }
+  EXPECT_EQ(convs, 2);
+
+  // The adopted banks compute what the owning replica computes: each
+  // sample of a full batch-8 execution equals its batch-1 execution.
+  const std::size_t sin =
+      static_cast<std::size_t>(base->input_layout().total_floats());
+  const std::size_t sout =
+      static_cast<std::size_t>(base->output_layout().total_floats());
+  AlignedBuffer<float> in8, out8(8 * sout), out1(sout);
+  fill_random(in8, 8 * sin, 0x8A7C);
+  r8.graph->execute(in8.data(), out8.data());
+  for (std::size_t s = 0; s < 8; ++s) {
+    r1.graph->execute(in8.data() + s * sin, out1.data());
+    EXPECT_EQ(std::memcmp(out1.data(), out8.data() + s * sout,
                           sout * sizeof(float)),
               0)
         << "sample " << s;

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // A small but real network, executed through the graph tier so the
-  // per-node attribution families exist.
+  // A small but real network; served networks run on graph::Executor, so
+  // the per-node attribution families exist.
   PlanOptions one_thread;
   one_thread.threads = 1;
   auto net = std::make_shared<Sequential>(1, 16, Dims{16, 16}, one_thread);
@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
 
   serve::InferenceServer server;
   serve::ModelConfig config;
-  config.graph_exec = true;
   config.plan.threads = 1;
   server.register_network("net", net, config);
 
