@@ -38,6 +38,9 @@ int main() {
   for (const bool streaming : {false, true}) {
     PlanOptions o;
     o.streaming_stores = streaming;
+    // Streaming stores are a staged-pipeline mechanism: fused plans keep
+    // their block scratch cacheable, and kAuto fuses this shape.
+    o.fusion = FusionMode::kStaged;
     ConvPlan plan(p, o);
     plan.set_kernels(w.data());
     double bi = 1e30, bo = 1e30, bt = 1e30;

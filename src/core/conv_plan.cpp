@@ -124,7 +124,10 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options)
   ib_ = nb_pad_ / blocking_.n_blk;
   kb_ = problem_.shape.in_channels / blocking_.c_blk;
   jb_ = problem_.shape.out_channels / blocking_.cp_blk;
-  choose_fusion();
+  const int threads =
+      options_.threads > 0 ? options_.threads : hardware_threads();
+  fusion_ = choose_fusion(problem_, blocking_, threads, l2_cache_bytes(),
+                          options_.fusion, prec_);
 
   build_programs();
   build_pipelines();
@@ -135,7 +138,6 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options)
         jb_, t_elems_, out_groups_, options_.scatter_in_gemm, prec_);
   }
 
-  int threads = options_.threads > 0 ? options_.threads : hardware_threads();
   pool_ = std::make_unique<ThreadPool>(threads, options_.pin_threads,
                                        options_.cpu_base);
 
@@ -197,52 +199,45 @@ void ConvPlan::choose_blocking() {
   blocking_ = b;
 }
 
-void ConvPlan::choose_fusion() {
+FusionPolicy ConvPlan::choose_fusion(const ConvProblem& problem,
+                                     const Blocking& blocking, int threads,
+                                     i64 l2_bytes, FusionMode mode,
+                                     Precision precision) {
+  const i64 esz = precision_bytes(precision);
+  const i64 t = problem.tile_elements();
+  const i64 c = problem.shape.in_channels;
+  const i64 cp = problem.shape.out_channels;
+  const i64 ib = ceil_div(problem.tiles_total() * problem.shape.batch,
+                          static_cast<i64>(blocking.n_blk));
+  const i64 row_block_bytes = blocking.n_blk * (c + cp) * t * esz;
+  const i64 v_bytes = c * cp * t * esz;
+  const i64 budget = l2_bytes * 3 / 4;
+
+  // One row block per tile block unless pinned: the microkernel already
+  // reuses each V̂ row n_blk times, and every larger block measured slower
+  // (its Û/X̂ footprint crowds the L2 while V̂ re-reads from L2 are cheap).
   FusionPolicy f;
-  switch (options_.fusion) {
+  f.f_blk = static_cast<int>(std::min<i64>(std::max(blocking.f_blk, 1), ib));
+  f.blocks = ceil_div(ib, static_cast<i64>(f.f_blk));
+  switch (mode) {
     case FusionMode::kStaged:
       f.fused = false;
       break;
     case FusionMode::kFused:
       f.fused = true;
       break;
-    case FusionMode::kAuto: {
-      // Fuse when the staged intermediates (V̂ + X̂ full tensors) would not
-      // stay resident in the last-level cache between the stage barriers —
-      // that is exactly when the staged pipeline starts round-tripping the
-      // transformed activations through DRAM. Half the LLC is a
-      // conservative threshold: the input image, W, and the output share
-      // the cache too.
-      const i64 staged_bytes =
-          nb_pad_ *
-          (problem_.shape.in_channels + problem_.shape.out_channels) *
-          t_elems_ * precision_bytes(prec_);
-      f.fused = staged_bytes > llc_cache_bytes() / 2;
+    case FusionMode::kAuto:
+      // The fused schedule hands each thread a run of row blocks.
+      f.fused = ib * row_block_bytes > budget &&
+                v_bytes + row_block_bytes <= budget && ib >= threads;
       break;
-    }
   }
-  if (f.fused) {
-    i64 fb = blocking_.f_blk;
-    if (fb <= 0) {
-      // Largest block whose Û + X̂ panels fill at most 3/4 of the per-core
-      // L2 (the remaining quarter covers the streamed V̂ block and the
-      // input/output tile working set).
-      const i64 per_row_block =
-          static_cast<i64>(blocking_.n_blk) *
-          (problem_.shape.in_channels + problem_.shape.out_channels) *
-          t_elems_ * precision_bytes(prec_);
-      fb = std::max<i64>(1, l2_cache_bytes() * 3 / 4 / per_row_block);
-    }
-    f.f_blk = static_cast<int>(std::min<i64>(fb, ib_));
-    f.blocks = (ib_ + f.f_blk - 1) / f.f_blk;
-    // Float-unit footprint of the per-thread Û+X̂ block scratch (reduced
-    // storage packs two u16 words per float slot).
-    f.scratch_floats =
-        static_cast<i64>(f.f_blk) * blocking_.n_blk *
-        (problem_.shape.in_channels + problem_.shape.out_channels) *
-        t_elems_ * precision_bytes(prec_) / static_cast<i64>(sizeof(float));
-  }
-  fusion_ = f;
+  if (!f.fused) return FusionPolicy{};
+  // Float-unit footprint of the per-thread Û+X̂ block scratch (reduced
+  // storage packs two u16 words per float slot).
+  f.scratch_floats =
+      f.f_blk * row_block_bytes / static_cast<i64>(sizeof(float));
+  return f;
 }
 
 void ConvPlan::build_programs() {
@@ -311,6 +306,41 @@ void ConvPlan::build_pipelines() {
                                                     /*stream=*/false, jit);
 }
 
+Dims ConvPlan::output_plane(const Epilogue& epilogue) const {
+  Dims plane = out_dims_;
+  if (epilogue.pooled()) {
+    for (int d = 0; d < rank_; ++d) plane[d] /= epilogue.pool_window;
+  }
+  return plane;
+}
+
+const TilePipeline* ConvPlan::epilogue_pipeline(const Epilogue& epilogue) {
+  if (!epilogue.active() || !options_.jit_transforms) return nullptr;
+  const i64 w = epilogue.pooled() ? epilogue.pool_window : 0;
+  for (const EpiloguePipeline& e : pipe_inv_epilogue_) {
+    if (e.relu == epilogue.relu && e.pool_window == w) return e.pipe.get();
+  }
+  // Same inverse programs and source strides as the interior pipeline;
+  // the destination is the output plane, or the pooled plane when pooled.
+  // Plain stores, as store_tile makes: callers may hand in outputs that
+  // are not 64-byte aligned, and the next layer reads them right back.
+  const TransformProgram* at[kMaxNd];
+  i64 s_alpha[kMaxNd], s_dst[kMaxNd];
+  const Dims alpha_strides = alpha_.strides();
+  const Dims plane_strides = output_plane(epilogue).strides();
+  for (int d = 0; d < rank_; ++d) {
+    at[d] = &at_[static_cast<std::size_t>(d)];
+    s_alpha[d] = alpha_strides[d] * kSimdWidth;
+    s_dst[d] = plane_strides[d] * kSimdWidth;
+  }
+  const TileEpilogue te{.relu = epilogue.relu, .pool_window = w};
+  auto pipe = std::make_unique<TilePipeline>(
+      at, rank_, s_alpha, s_dst, /*stream_dst=*/false, /*use_jit=*/true, &te);
+  if (!pipe->jitted()) pipe.reset();
+  pipe_inv_epilogue_.push_back({epilogue.relu, w, std::move(pipe)});
+  return pipe_inv_epilogue_.back().pipe.get();
+}
+
 void ConvPlan::build_kernels() {
   // Fused plans scatter into the thread's own X̂ block scratch, which the
   // inverse transform reads back within microseconds — cacheable scatter
@@ -342,9 +372,11 @@ void ConvPlan::build_schedules() {
       {problem_.shape.in_channels, out_groups_}, k);
 
   if (fusion_.fused) {
-    // One grid only: the 1-D list of fused tile blocks. Each thread owns a
-    // contiguous run of blocks end-to-end (transform → GEMM → inverse).
-    sched_fused_ = static_partition({fusion_.blocks}, k);
+    // One grid only: the 1-D list of row blocks. Each thread owns a
+    // contiguous run (balanced to one row block, not one tile block) and
+    // cuts it into tile blocks of at most f_blk, each driven end-to-end
+    // (transform → GEMM → inverse).
+    sched_fused_ = static_partition({ib_}, k);
     return;
   }
 
@@ -534,10 +566,8 @@ void ConvPlan::execute(const float* input, const float* kernels,
                        float* output, const Epilogue& epilogue) {
   set_kernels(kernels);
   const double kt = stats_.kernel_transform;
-  const StageBalance kb = stats_.kernel_balance;
   execute_pretransformed(input, output, epilogue);
   stats_.kernel_transform = kt;
-  stats_.kernel_balance = kb;
 }
 
 void ConvPlan::set_kernels(const float* kernels) {
@@ -650,10 +680,11 @@ void ConvPlan::execute_pretransformed(const float* input, float* output,
     }
   }
   ONDWIN_TRACE_SPAN("conv.execute");
-  const double kt = stats_.kernel_transform;
+  inv_epilogue_ = epilogue_pipeline(epilogue);
+  // No kernel transform runs here, so none is reported: total() must not
+  // carry the last set_kernels() time (execute() adds its own back).
   const StageBalance kb = stats_.kernel_balance;
   stats_ = ConvPlanStats{};
-  stats_.kernel_transform = kt;
   stats_.kernel_balance = kb;
   stats_.precision = prec_;
   // Effective footprints of the transformed intermediates: what one
@@ -709,32 +740,54 @@ void ConvPlan::execute_fused(const float* input, float* output,
   // One fork–join for the whole convolution: each thread drives its
   // contiguous run of tile blocks through all three stages back-to-back.
   pool_->run_static([&](int tid) {
+    const bool traced = obs::trace_enabled();
+    const u64 start_ns = traced ? obs::trace_now_ns() : 0;
     const GridBox& box = sched_fused_[static_cast<std::size_t>(tid)];
-    for (i64 fb = box.begin[0]; fb < box.end[0]; ++fb) {
-      const i64 iblk0 = fb * fusion_.f_blk;
-      const i64 iblk1 = std::min<i64>(iblk0 + fusion_.f_blk, ib_);
+    for (i64 iblk0 = box.begin[0]; iblk0 < box.end[0];
+         iblk0 += fusion_.f_blk) {
+      const i64 iblk1 = std::min<i64>(iblk0 + fusion_.f_blk, box.end[0]);
       fused_block(tid, iblk0, iblk1, input, output, epilogue);
     }
     streaming_fence();  // inverse-transform NT stores into `output`
+    if (traced) {
+      // The stages interleave per tile block; a span per block and stage
+      // (three per row block) would wrap the trace rings on large grids.
+      // Each thread records its stage totals as three consecutive spans
+      // from its start instead.
+      const ThreadScratch& sc = *scratch_[static_cast<std::size_t>(tid)];
+      const obs::TraceContext ctx = obs::current_trace_context();
+      u64 at = start_ns;
+      for (const auto& [name, s] :
+           {std::pair{"fuse.input", sc.acc_input},
+            std::pair{"fuse.gemm", sc.acc_gemm},
+            std::pair{"fuse.inverse", sc.acc_inverse}}) {
+        const auto dur = static_cast<u64>(s * 1e9);
+        obs::record_span(name, at, dur, ctx);
+        at += dur;
+      }
+    }
   });
 
-  // Per-stage seconds from the thread-local accumulators: the MEAN over
-  // threads, so the stages still sum to ≈ the execute wall time on a
-  // balanced run (see ConvPlanStats).
+  // Per-stage seconds from the thread-local accumulators of the critical
+  // thread, so the stages sum to ≈ the execute wall time (see
+  // ConvPlanStats).
   stats_.fused = true;
   const std::size_t n = scratch_.size();
-  std::vector<double> in_s(n), gm_s(n), inv_s(n);
+  std::vector<double> in_s(n), gm_s(n), inv_s(n), busy(n);
+  std::size_t crit = 0;
   for (std::size_t i = 0; i < n; ++i) {
     in_s[i] = scratch_[i]->acc_input;
     gm_s[i] = scratch_[i]->acc_gemm;
     inv_s[i] = scratch_[i]->acc_inverse;
+    busy[i] = in_s[i] + gm_s[i] + inv_s[i];
+    if (busy[i] > busy[crit]) crit = i;
   }
   stats_.input_balance = balance_of(in_s);
   stats_.gemm_balance = balance_of(gm_s);
   stats_.inverse_balance = balance_of(inv_s);
-  stats_.input_transform = stats_.input_balance.mean_s;
-  stats_.gemm = stats_.gemm_balance.mean_s;
-  stats_.inverse_transform = stats_.inverse_balance.mean_s;
+  stats_.input_transform = in_s[crit];
+  stats_.gemm = gm_s[crit];
+  stats_.inverse_transform = inv_s[crit];
 }
 
 void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
@@ -748,7 +801,6 @@ void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
 
   Timer t;
   {
-    ONDWIN_TRACE_SPAN("fuse.input");
     // cg outer / tile inner: one sweep over the block's tiles per channel
     // group, walking each input channel plane contiguously.
     std::array<i64, kMaxGridRank> coord{};
@@ -770,7 +822,6 @@ void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
 
   t.restart();
   {
-    ONDWIN_TRACE_SPAN("fuse.gemm");
     const float* v = prec_ == Precision::kFp32
                          ? w_->data()
                          : reinterpret_cast<const float*>(w_red_->data());
@@ -781,7 +832,6 @@ void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
 
   t.restart();
   {
-    ONDWIN_TRACE_SPAN("fuse.inverse");
     // g outer / tile inner: mirrors the staged inverse schedule's order
     // within the block, walking each output channel plane contiguously.
     for (i64 g = 0; g < out_groups_; ++g) {
@@ -1059,8 +1109,6 @@ void ConvPlan::inverse_transform_task(int tid, i64 np, i64 g,
   ThreadScratch& sc = *scratch_[static_cast<std::size_t>(tid)];
   const i64 b = np / tile_count_;
   const i64 n = np % tile_count_;
-  const Dims out_strides_sp = out_dims_.strides();
-  const i64 opx = out_dims_.product();
 
   // Under fusion `iout_buf` is the thread's X̂ block scratch and `np_base`
   // rebases the tile row into it. Reduced-precision I' rows up-convert
@@ -1087,20 +1135,23 @@ void ConvPlan::inverse_transform_task(int tid, i64 np, i64 g,
     if (org[d] + problem_.tile_m[d] > out_dims_[d]) interior = false;
   }
 
+  // The (b, g) plane this task writes: the output, or the POOLED output
+  // under a pooled epilogue. Tiles own disjoint sets of complete pool
+  // windows (tile_m % window == 0, validated at execute), so pooled
+  // stores of different tasks never overlap — the same race-freedom
+  // argument as the un-pooled store, on a w^rank-smaller plane.
+  const i64 w = epilogue.pooled() ? epilogue.pool_window : 1;
+  const Dims plane_dims = output_plane(epilogue);
+  const Dims plane_strides = plane_dims.strides();
+  float* plane =
+      output + (b * out_groups_ + g) * plane_dims.product() * kSimdWidth;
+  i64 tile_at = 0;  // tile origin in the plane, in vectors
+  for (int d = 0; d < rank_; ++d) tile_at += org[d] / w * plane_strides[d];
+
   if (interior && !epilogue.active()) {
-    i64 sp = 0;
-    for (int d = 0; d < rank_; ++d) sp += org[d] * out_strides_sp[d];
-    float* dst = output + ((b * out_groups_ + g) * opx + sp) * kSimdWidth;
-    pipe_inv_interior_->run(src, dst, sc.transform);
+    pipe_inv_interior_->run(src, plane + tile_at * kSimdWidth, sc.transform);
     return;
   }
-
-  // Clipped tile (or fused epilogue): transform into staging, then write
-  // the valid sub-box out — applying bias/ReLU (and, with a pooled
-  // epilogue, the complete max-pool windows this tile owns) while the
-  // tile is hot. The store stage itself lives in transform/epilogue.cpp —
-  // shared verbatim by the staged and fused execution paths.
-  pipe_inv_border_->run(src, sc.stage_out.data(), sc.transform);
 
   float bias_vec[kSimdWidth] = {};
   if (epilogue.bias != nullptr) {
@@ -1108,6 +1159,21 @@ void ConvPlan::inverse_transform_task(int tid, i64 np, i64 g,
       bias_vec[s] = epilogue.bias[g * kSimdWidth + s];
     }
   }
+
+  // Interior tile with an epilogue: bias/ReLU (and the pool reduction)
+  // run inside the inverse kernel, which stores straight to the plane.
+  if (interior && inv_epilogue_ != nullptr) {
+    inv_epilogue_->run(src, plane + tile_at * kSimdWidth, sc.transform,
+                       bias_vec);
+    return;
+  }
+
+  // Clipped tile (or no epilogue kernel): transform into staging, then
+  // write the valid sub-box out — applying bias/ReLU (and, with a pooled
+  // epilogue, the complete max-pool windows this tile owns) while the
+  // tile is hot. The store stage itself lives in transform/epilogue.cpp —
+  // shared verbatim by the staged and fused execution paths.
+  pipe_inv_border_->run(src, sc.stage_out.data(), sc.transform);
 
   i64 hi[kMaxNd];
   for (int d = 0; d < rank_; ++d) {
@@ -1118,26 +1184,14 @@ void ConvPlan::inverse_transform_task(int tid, i64 np, i64 g,
   args.org = org;
   args.hi = hi;
   args.m_strides = problem_.tile_m.strides();
-  args.out_strides = out_strides_sp;
-
+  args.out_strides = out_dims_.strides();
   if (epilogue.pooled()) {
-    // Tiles own disjoint sets of complete pool windows (tile_m % window
-    // == 0, validated at execute), so pooled stores of different tasks
-    // never overlap — the same race-freedom argument as the un-pooled
-    // store, on a w^rank-smaller plane.
-    const i64 w = epilogue.pool_window;
-    Dims pooled = out_dims_;
-    for (int d = 0; d < rank_; ++d) pooled[d] = out_dims_[d] / w;
-    args.pool_strides = pooled.strides();
-    float* plane =
-        output + ((b * out_groups_ + g) * pooled.product()) * kSimdWidth;
+    args.pool_strides = plane_strides;
     store_tile_pooled(sc.stage_out.data(), plane, args, bias_vec,
                       epilogue.relu, w);
-    return;
+  } else {
+    store_tile(sc.stage_out.data(), plane, args, epilogue, bias_vec);
   }
-
-  float* plane = output + ((b * out_groups_ + g) * opx) * kSimdWidth;
-  store_tile(sc.stage_out.data(), plane, args, epilogue, bias_vec);
 }
 
 }  // namespace ondwin

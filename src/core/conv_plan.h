@@ -10,11 +10,11 @@
 //   stage 3   inverse tile transform   I'     → output image
 //
 // Fused execution (PlanOptions::fusion) removes the global barriers: the
-// tile grid is cut into per-thread tile blocks sized so one block's Û
-// panel plus the streamed V̂ and X̂ panels stay cache-resident, and each
-// thread drives its blocks through transform → GEMM → inverse back-to-back
-// — I and I' shrink from full tensors to per-thread block scratch, so the
-// transformed activations never round-trip DRAM between stages.
+// tile grid is cut into per-thread runs of tile blocks small enough that a
+// block's Û and X̂ panels stay L2-resident next to V̂, and each thread
+// drives its blocks through transform → GEMM → inverse back-to-back — I
+// and I' shrink from full tensors to per-thread block scratch, so the
+// transformed activations never leave the L2 between stages.
 //
 // Inputs/outputs use the SIMD-blocked layouts of tensor/layout.h, so the
 // output of one plan feeds the next plan without reshuffling.
@@ -50,16 +50,20 @@ struct StageBalance {
 };
 
 /// Per-stage seconds of the last execute() call, plus the per-thread
-/// balance of every stage.
+/// balance of every stage. execute_pretransformed() transforms no kernels
+/// and reports kernel_transform = 0; kernel_balance keeps describing the
+/// last kernel transform (set_kernels() or execute()).
 ///
 /// Staged execution times each fork–join with wall clocks between the
 /// barriers. Fused execution has no barriers between stages — the stages
 /// of different tile blocks interleave freely — so there the per-stage
 /// seconds come from thread-local accumulators: each thread sums the time
-/// its own blocks spent in each stage, and the reported stage time is the
-/// MEAN over threads (so the stages still sum to ≈ the execute wall time
-/// on a balanced run). `fused` records which accounting produced the
-/// numbers; StageBalance is max/mean of the per-thread figures either way.
+/// its own blocks spent in each stage, and the reported stage times are
+/// those of the critical thread — the one whose blocks took longest — so
+/// the stages sum to ≈ the execute wall time even on an unbalanced run, as
+/// the staged barrier-to-barrier times do. `fused` records which
+/// accounting produced the numbers; StageBalance is max/mean of the
+/// per-thread figures either way.
 struct ConvPlanStats {
   double input_transform = 0;
   double kernel_transform = 0;
@@ -102,13 +106,13 @@ struct Blocking {
   int f_blk = 0;
 };
 
-/// Resolved execution structure of a plan (see PlanOptions::fusion): how
-/// the tile grid is cut into per-thread blocks, or that the plan runs the
-/// classic four-stage fork–join pipeline.
+/// Resolved execution structure of a plan (see PlanOptions::fusion and
+/// ConvPlan::choose_fusion): how the tile grid is cut into per-thread
+/// blocks, or that the plan runs the classic four-stage fork–join pipeline.
 struct FusionPolicy {
   bool fused = false;
   int f_blk = 0;       // row blocks of n_blk tiles per fused block
-  i64 blocks = 0;      // ⌈(NB/n_blk) / f_blk⌉ fused blocks over the grid
+  i64 blocks = 0;      // ⌈(NB/n_blk) / f_blk⌉ tile blocks (reported only)
   i64 scratch_floats = 0;  // per-thread Û+X̂ block scratch (0 when staged)
 };
 
@@ -182,6 +186,22 @@ class ConvPlan {
   int threads() const { return pool_->size(); }
   const ConvPlanStats& last_stats() const { return stats_; }
 
+  /// Resolves `mode` for `problem` under `blocking` — a pure function of
+  /// its arguments, so the rule is testable for any host. Û/X̂ block
+  /// scratch and V̂ share a budget of 3/4 of `l2_bytes` (the per-core L2;
+  /// the rest covers the input and output tiles). A tile block is one row
+  /// block unless blocking.f_blk pins more. kAuto fuses only when all of
+  /// these hold:
+  ///  - the staged Û+X̂ tensors exceed the budget (staged would stream
+  ///    them through memory);
+  ///  - V̂ plus one row block of Û+X̂ fits the budget (else every block
+  ///    re-streams V̂ and staging wins);
+  ///  - there are at least as many tile blocks as threads.
+  static FusionPolicy choose_fusion(const ConvProblem& problem,
+                                    const Blocking& blocking, int threads,
+                                    i64 l2_bytes, FusionMode mode,
+                                    Precision precision);
+
   /// Auxiliary buffer footprint in bytes (paper §4.4 "Memory overhead").
   i64 workspace_bytes() const;
 
@@ -215,7 +235,6 @@ class ConvPlan {
   struct ThreadScratch;
 
   void choose_blocking();
-  void choose_fusion();
   void build_programs();
   void build_pipelines();
   void build_kernels();
@@ -248,6 +267,13 @@ class ConvPlan {
   void inverse_transform_task(int tid, i64 np, i64 g, const float* iout_buf,
                               i64 np_base, float* output,
                               const Epilogue& epilogue);
+  /// Spatial extents of the plane an execute writes: the output, or
+  /// out_dims / pool_window under a pooled epilogue.
+  Dims output_plane(const Epilogue& epilogue) const;
+  /// The interior inverse kernel with `epilogue` inside, compiled on first
+  /// use (nullptr when inactive or not JIT-compilable; such tiles take the
+  /// staged store path).
+  const TilePipeline* epilogue_pipeline(const Epilogue& epilogue);
 
   ConvProblem problem_;
   PlanOptions options_;
@@ -274,6 +300,16 @@ class ConvPlan {
   std::vector<TransformProgram> bt_, g_, at_;
   std::unique_ptr<TilePipeline> pipe_in_interior_, pipe_in_border_,
       pipe_kernel_, pipe_inv_interior_, pipe_inv_border_;
+  // Interior inverse kernels with the epilogue inside, one per (relu,
+  // pool window) an execute asked for; `inv_epilogue_` is the one the
+  // current execute runs (null: staged store path).
+  struct EpiloguePipeline {
+    bool relu = false;
+    i64 pool_window = 0;
+    std::unique_ptr<TilePipeline> pipe;
+  };
+  std::vector<EpiloguePipeline> pipe_inv_epilogue_;
+  const TilePipeline* inv_epilogue_ = nullptr;
 
   // GEMM kernels (+ the fused per-block driver when fusion_.fused).
   std::unique_ptr<KernelSet> kernels_;
@@ -304,9 +340,8 @@ class ConvPlan {
   bool kernels_ready_ = false;
   double first_touch_seconds_ = 0;
 
-  // Scheduling. sched_fused_ partitions the 1-D grid of fused tile blocks
-  // (fusion_.blocks of them) so each thread owns a contiguous block list
-  // end-to-end.
+  // Scheduling. sched_fused_ partitions the 1-D grid of row blocks so each
+  // thread owns a contiguous run, driven as tile blocks of ≤ f_blk.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<GridBox> sched_input_, sched_kernel_, sched_gemm_,
       sched_copy_, sched_inverse_, sched_fused_;

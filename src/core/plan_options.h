@@ -40,9 +40,10 @@ struct PlanOptions {
   /// reference kernel automatically when the host lacks AVX-512).
   bool use_jit = true;
 
-  /// JIT-compile the transform codelets as well (plan-time lowering of the
-  /// per-dimension programs to native code; falls back to the interpreting
-  /// executor when unavailable).
+  /// JIT-compile the tile transforms as well (plan-time lowering of each
+  /// whole-tile pipeline, and of the interior inverse tiles' epilogue, to
+  /// native code; falls back to the interpreting executor and the staged
+  /// epilogue store when unavailable).
   bool jit_transforms = true;
 
   /// Non-temporal streaming stores for transform outputs (paper §4.2.1;
@@ -77,8 +78,8 @@ struct PlanOptions {
   int cp_blk = 0;
 
   /// Fused-mode tile-block size in row blocks of n_blk tiles each; 0 =
-  /// heuristic (size the block's Û/X̂ panels to the L2 budget) or wisdom
-  /// v2. Ignored when the plan resolves to staged execution.
+  /// heuristic (one row block, see ConvPlan::choose_fusion) or wisdom v2.
+  /// Ignored when the plan resolves to staged execution.
   int fuse_blk = 0;
 
   /// Check the Û/I'_tmp/I' workspaces out of the shared

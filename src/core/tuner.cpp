@@ -136,9 +136,9 @@ TuneResult auto_tune(const ConvProblem& p, const PlanOptions& base,
   result.best_seconds = result.all.front().seconds;
 
   // Fused-block refinement: when the winning blocking executes fused under
-  // `base` (explicitly, or because kAuto tripped the LLC threshold), the
-  // tile-block size joins the tuned space — measure a small ladder around
-  // the L2 heuristic and keep the fastest. Staged winners skip this
+  // `base` (explicitly, or because kAuto chose fusion), the tile-block size
+  // joins the tuned space — measure a ladder of row-block counts from the
+  // default of one and keep the fastest. Staged winners skip this
   // entirely, so small-shape tuning pays nothing.
   {
     PlanOptions opts = base;
@@ -149,16 +149,10 @@ TuneResult auto_tune(const ConvProblem& p, const PlanOptions& base,
     opts.fuse_blk = 0;
     ConvPlan probe(p, opts);
     if (probe.fusion_policy().fused && budget.seconds() <= budget_seconds) {
-      const int heuristic = probe.fusion_policy().f_blk;
-      std::vector<int> fcands = {heuristic, 1, 2, 4, 8, 2 * heuristic};
-      std::sort(fcands.begin(), fcands.end());
-      fcands.erase(std::unique(fcands.begin(), fcands.end()), fcands.end());
-
       double best_f_seconds = 1e300;
-      int best_f = heuristic;
+      int best_f = probe.fusion_policy().f_blk;
       std::vector<int> measured;  // resolved sizes (clamping can collide)
-      for (const int f : fcands) {
-        if (f < 1) continue;
+      for (const int f : {1, 2, 4, 8}) {
         if (budget.seconds() > budget_seconds) break;
         ONDWIN_TRACE_SPAN("tune.fuse_blk");
         opts.fuse_blk = f;

@@ -273,6 +273,14 @@ void Assembler::vsubps(Zmm dst, Zmm a, const Mem& src) {
   evex_mem(1, 0, false, 0x5C, dst.id, a.id, src, false);
 }
 
+void Assembler::vmaxps(Zmm dst, Zmm a, Zmm b) {
+  evex_rr(1, 0, false, 0x5F, dst.id, a.id, b.id);
+}
+
+void Assembler::vmaxps(Zmm dst, Zmm a, const Mem& src) {
+  evex_mem(1, 0, false, 0x5F, dst.id, a.id, src, false);
+}
+
 // ---------------------------------------------- reduced precision (bf16) ----
 
 void Assembler::vdpbf16ps(Zmm dst, Zmm a, Zmm b) {

@@ -91,6 +91,12 @@ class Assembler {
   void vfmadd231ps(Zmm dst, Zmm a, const Mem& src);   // full-width mem operand
   void vaddps(Zmm dst, Zmm a, const Mem& src);        // full-width mem operand
   void vsubps(Zmm dst, Zmm a, const Mem& src);        // full-width mem operand
+  /// dst = (a > b) ? a : b per lane — b (the second source) is returned
+  /// when either lane is NaN or both are zeros, so `vmaxps(d, zero, v)`
+  /// equals std::max(v, 0.0f) and `vmaxps(acc, v, acc)` equals
+  /// std::max(acc, v), −0.0 and NaN lanes included.
+  void vmaxps(Zmm dst, Zmm a, Zmm b);
+  void vmaxps(Zmm dst, Zmm a, const Mem& src);        // full-width mem operand
 
   // ---- reduced-precision (bf16/fp16 storage, fp32 accumulate) ---------
   /// dst.f32[q] += a.bf16[2q+1]·b.bf16[2q+1] + a.bf16[2q]·b.bf16[2q]

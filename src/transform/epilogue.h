@@ -1,8 +1,15 @@
-// Inverse-transform epilogue: the per-tile store stage both the staged and
-// the fused execution paths run after the inverse tile transform, fusing
-// whatever per-element work the next network op would otherwise do in a
-// separate pass over DRAM (bias add, ReLU, and — when the tile geometry
-// permits — a complete max-pool reduction).
+// Inverse-transform epilogue: the per-element work the next network op
+// would otherwise do in a separate pass over DRAM (bias add, ReLU, and —
+// when the tile geometry permits — a complete max-pool reduction), fused
+// into stage 3 of both the staged and the fused execution paths.
+//
+// Interior tiles run it inside the JIT inverse kernel (TilePipeline with a
+// TileEpilogue, transform/tile_pipeline.h), which stores straight into the
+// output plane. The functions below are the staged form: the inverse
+// transform writes a staging tile and store_tile / store_tile_pooled clip
+// it into the plane. They serve clipped border tiles, plans without JIT
+// transforms, and the tests as the reference the kernel must match bit
+// for bit.
 //
 // Fusing pooling is the inter-layer extension of the cache-resident idea:
 // the tile is in L1/L2 right after the inverse transform, so reducing each

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -211,6 +216,74 @@ TEST(ConvPlanOptions, JitTransformToggleIsBitIdentical) {
   }
 }
 
+// The epilogue runs inside the JIT inverse kernel for interior tiles and
+// in the staged store for border tiles; with JIT transforms off every
+// tile takes the staged store. Both must give the same floats — bias,
+// ReLU and the fused max-pool, 1D to 3D, staged and fused execution —
+// including −0.0 and NaN lanes.
+TEST(ConvPlanOptions, JitEpilogueMatchesInterpreterBitwise) {
+  const ConvProblem problems[] = {
+      make_problem(1, 16, 16, {34}, {3}, {1}, {4}),
+      make_problem(2, 16, 32, {13, 10}, {3, 3}, {1, 1}, {4, 2}),
+      make_problem(1, 16, 16, {7, 10, 9}, {3, 3, 3}, {0, 1, 1}, {2, 4, 4})};
+  for (const ConvProblem& p : problems) {
+    const ImageLayout in_l = p.input_layout();
+    const KernelLayout k_l = p.kernel_layout();
+    Rng rng(21);
+    AlignedBuffer<float> in(static_cast<std::size_t>(in_l.total_floats()));
+    AlignedBuffer<float> w(static_cast<std::size_t>(k_l.total_floats()));
+    for (auto& v : in) v = rng.uniform(-1, 1);
+    for (auto& v : w) v = rng.uniform(-1, 1);
+    // One channel lane of the image all −0.0 and one NaN pixel.
+    for (std::size_t i = 3; i < in.size(); i += kSimdWidth) in[i] = -0.0f;
+    in[5] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> bias(static_cast<std::size_t>(p.shape.out_channels));
+    for (std::size_t c = 0; c < bias.size(); ++c) {
+      bias[c] = c % 5 == 0 ? -0.0f : rng.uniform(-0.5f, 0.5f);
+    }
+    for (const bool with_bias : {false, true}) {
+      for (const bool relu : {false, true}) {
+        for (const i64 pool : {i64{0}, i64{2}}) {
+          Epilogue ep;
+          ep.bias = with_bias ? bias.data() : nullptr;
+          ep.relu = relu;
+          ep.pool_window = pool;
+          if (!ep.active()) continue;
+          Dims out_sp = p.shape.output();
+          for (int d = 0; d < out_sp.rank(); ++d) {
+            out_sp[d] /= std::max<i64>(pool, 1);
+          }
+          const ImageLayout out_l(p.shape.batch, p.shape.out_channels,
+                                  out_sp);
+          for (const FusionMode mode :
+               {FusionMode::kStaged, FusionMode::kFused}) {
+            AlignedBuffer<float> outs[2];
+            for (const bool jit : {false, true}) {
+              PlanOptions o;
+              o.threads = 2;
+              o.fusion = mode;
+              o.jit_transforms = jit;
+              ConvPlan plan(p, o);
+              AlignedBuffer<float>& out = outs[jit ? 1 : 0];
+              out.reset(static_cast<std::size_t>(out_l.total_floats()));
+              out.fill_zero();
+              plan.execute(in.data(), w.data(), out.data(), ep);
+            }
+            SCOPED_TRACE("rank " + std::to_string(p.rank()) + " bias " +
+                         std::to_string(with_bias) + " relu " +
+                         std::to_string(relu) + " pool " +
+                         std::to_string(pool) + " fused " +
+                         std::to_string(mode == FusionMode::kFused));
+            EXPECT_EQ(std::memcmp(outs[0].data(), outs[1].data(),
+                                  outs[0].size() * sizeof(float)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ConvPlanOptions, ExplicitBlockingOverrides) {
   const ConvProblem p =
       make_problem(1, 32, 48, {10, 10}, {3, 3}, {1, 1}, {2, 2});
@@ -297,6 +370,14 @@ TEST(ConvPlan, StatsArePopulated) {
   EXPECT_GT(st.gemm, 0.0);
   EXPECT_GT(st.inverse_transform, 0.0);
   EXPECT_GT(plan.workspace_bytes(), 0);
+
+  // FX mode transforms no kernels, so none is reported and total() is
+  // the stages that ran — not the last set_kernels() time on top.
+  plan.execute_pretransformed(in.data(), out.data());
+  const auto& fx = plan.last_stats();
+  EXPECT_EQ(fx.kernel_transform, 0.0);
+  EXPECT_DOUBLE_EQ(fx.total(), fx.input_transform + fx.gemm +
+                                   fx.scatter_copy + fx.inverse_transform);
 }
 
 // --------------------------------------------------- linearity property ----

@@ -220,12 +220,102 @@ TEST(FusionPolicyTest, ModesResolveAsRequested) {
   EXPECT_EQ(fused.fusion_policy().f_blk, 3);
   EXPECT_GT(fused.fusion_policy().scratch_floats, 0);
 
-  // kAuto on a CI-sized shape: intermediates fit the LLC, stays staged.
+  // kAuto on a CI-sized shape: intermediates fit the L2, stays staged.
   PlanOptions a;
   a.threads = 1;
   a.fusion = FusionMode::kAuto;
   ConvPlan auto_plan(p, a);
   EXPECT_FALSE(auto_plan.fusion_policy().fused);
+}
+
+// The kAuto rule against layers measured staged vs fused (one thread,
+// interleaved runs), with a 2 MiB per-core L2. Fused wins where V̂ and a
+// row block of Û/X̂ stay L2-resident while the staged tensors do not;
+// staged wins where V̂ plus a row block overflows the budget (V̂ would
+// re-stream once per tile block) or everything already fits.
+TEST(FusionPolicyTest, AutoRuleMatchesMeasuredLayers) {
+  constexpr i64 kL2 = i64{2} << 20;
+  struct Layer {
+    const char* name;
+    ConvProblem p;
+    int threads;
+    bool fused;
+  };
+  const Dims k2{3, 3}, k3{3, 3, 3};
+  const Layer layers[] = {
+      {"VGG1.2 batch 4", make_problem(4, 64, 64, {56, 56}, k2, {1, 1}, {4, 4}),
+       1, true},
+      {"rpc conv1 batch 8",
+       make_problem(8, 32, 64, {32, 32}, k2, {1, 1}, {4, 4}), 1, true},
+      {"rpc conv2 batch 8",
+       make_problem(8, 64, 64, {32, 32}, k2, {1, 1}, {4, 4}), 1, true},
+      {"unet3d 16->32",
+       make_problem(1, 16, 32, {20, 44, 44}, k3, {0, 0, 0}, {2, 4, 4}), 2,
+       true},
+      {"VGG 3.2", make_problem(2, 256, 256, {14, 14}, k2, {1, 1}, {4, 4}), 1,
+       false},
+      {"7x7 F(6x6) batch 4",
+       make_problem(4, 256, 256, {7, 7}, k2, {1, 1}, {6, 6}), 1, false},
+      {"unet3d 32->64",
+       make_problem(1, 32, 64, {9, 21, 21}, k3, {0, 0, 0}, {2, 4, 4}), 2,
+       false},
+      {"ModesResolveAsRequested shape",
+       make_problem(1, 16, 16, {10, 10}, k2, {1, 1}, {2, 2}), 1, false},
+  };
+  for (const Layer& l : layers) {
+    SCOPED_TRACE(l.name);
+    // The heuristic blocking a plan resolves (a fused plan allocates no
+    // full-size intermediates, so probing it is cheap).
+    PlanOptions o;
+    o.threads = 1;
+    o.fusion = FusionMode::kFused;
+    const Blocking b = ConvPlan(l.p, o).blocking();
+    const FusionPolicy f = ConvPlan::choose_fusion(
+        l.p, b, l.threads, kL2, FusionMode::kAuto, Precision::kFp32);
+    EXPECT_EQ(f.fused, l.fused);
+    if (f.fused) {
+      EXPECT_GE(f.blocks, l.threads);
+      EXPECT_GT(f.scratch_floats, 0);
+    } else {
+      EXPECT_EQ(f.blocks, 0);
+    }
+  }
+}
+
+// A tile block is one row block unless f_blk is pinned
+// (PlanOptions::fuse_blk / wisdom), and a pinned f_blk is clamped to the
+// grid.
+TEST(FusionPolicyTest, BlockSizeDefaultsToOneRowBlock) {
+  constexpr i64 kL2 = i64{2} << 20;
+  const ConvProblem p =
+      make_problem(1, 16, 32, {20, 44, 44}, {3, 3, 3}, {0, 0, 0}, {2, 4, 4});
+  PlanOptions o;
+  o.threads = 1;
+  o.fusion = FusionMode::kFused;
+  Blocking b = ConvPlan(p, o).blocking();
+  const i64 row_blocks =
+      ceil_div(p.tiles_total() * p.shape.batch, static_cast<i64>(b.n_blk));
+  FusionPolicy f = ConvPlan::choose_fusion(p, b, 1, kL2, FusionMode::kAuto,
+                                           Precision::kFp32);
+  ASSERT_TRUE(f.fused);
+  EXPECT_EQ(f.f_blk, 1);
+  EXPECT_EQ(f.blocks, row_blocks);
+  // Fewer tile blocks than threads: some threads would idle, stay staged.
+  EXPECT_FALSE(ConvPlan::choose_fusion(p, b, static_cast<int>(row_blocks) + 1,
+                                       kL2, FusionMode::kAuto,
+                                       Precision::kFp32)
+                   .fused);
+
+  b.f_blk = 2;
+  f = ConvPlan::choose_fusion(p, b, 1, kL2, FusionMode::kFused,
+                              Precision::kFp32);
+  EXPECT_EQ(f.f_blk, 2);
+  EXPECT_EQ(f.blocks, ceil_div(row_blocks, 2));
+  b.f_blk = 100000;
+  f = ConvPlan::choose_fusion(p, b, 1, kL2, FusionMode::kFused,
+                              Precision::kFp32);
+  EXPECT_EQ(f.f_blk, row_blocks);
+  EXPECT_EQ(f.blocks, 1);
 }
 
 // Fused plans drop the full-tensor intermediates: for a grid with many

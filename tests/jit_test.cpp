@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "jit/assembler.h"
 #include "jit/exec_memory.h"
@@ -64,6 +67,14 @@ TEST(Assembler, EncodesRspAndR12BasesWithSib) {
   a.vmovups(Zmm(0), addr(Gp::r12));
   EXPECT_EQ(a.finish(), (Bytes{0x62, 0xf1, 0x7c, 0x48, 0x10, 0x04, 0x24,
                                0x62, 0xd1, 0x7c, 0x48, 0x10, 0x04, 0x24}));
+}
+
+TEST(Assembler, EncodesVmaxpsRegAndMemForms) {
+  Assembler a;
+  a.vmaxps(Zmm(0), Zmm(30), Zmm(29));
+  a.vmaxps(Zmm(17), Zmm(2), addr(Gp::r8));
+  EXPECT_EQ(a.finish(), (Bytes{0x62, 0x91, 0x0c, 0x40, 0x5f, 0xc5,  //
+                               0x62, 0xc1, 0x6c, 0x48, 0x5f, 0x08}));
 }
 
 TEST(Assembler, EncodesGpMovesAndStack) {
@@ -303,6 +314,45 @@ TEST(ExecMemory, StreamingStoreWritesThrough) {
   fn(src.data(), dst.data());
   for (int i = 0; i < 16; ++i) {
     EXPECT_FLOAT_EQ(dst[static_cast<std::size_t>(i)], i * 1.5f);
+  }
+}
+
+// The epilogue kernels rely on vmaxps's operand order to match std::max
+// bit for bit: ReLU is vmaxps(dst, zero, v) == std::max(v, 0.0f) and the
+// pool step is vmaxps(acc, v, acc) == std::max(acc, v).
+TEST(ExecMemory, VmaxpsOperandOrderMatchesStdMax) {
+  if (!cpu_features().full_avx512()) GTEST_SKIP() << "host lacks AVX-512";
+  // rdi = v, rsi = acc, rdx = relu out, rcx = pool out
+  Assembler a;
+  a.vmovups(Zmm(0), addr(Gp::rdi));
+  a.vmovups(Zmm(1), addr(Gp::rsi));
+  a.vpxord(Zmm(2), Zmm(2), Zmm(2));
+  a.vmaxps(Zmm(3), Zmm(2), Zmm(0));
+  a.vmovups(addr(Gp::rdx), Zmm(3));
+  a.vmaxps(Zmm(1), Zmm(0), Zmm(1));
+  a.vmovups(addr(Gp::rcx), Zmm(1));
+  a.ret();
+  const ExecMemory m = ExecMemory::from_code(a.finish());
+  auto fn = m.entry_as<void (*)(const float*, const float*, float*, float*)>();
+
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float v_lanes[16] = {-0.0f, 0.0f, -0.0f, 0.0f, nan, 1.0f, nan, -2.0f,
+                             3.0f,  -1.0f, nan, -0.0f, 0.5f, -0.5f, 0.0f, 7.0f};
+  const float acc_lanes[16] = {0.0f, -0.0f, -0.0f, 0.0f, 1.0f, nan,  nan, -3.0f,
+                               2.0f, -1.0f, -0.0f, nan, 0.5f, -0.5f, -0.0f, 8.0f};
+  AlignedBuffer<float> v(16), acc(16), relu(16), pool(16);
+  for (std::size_t i = 0; i < 16; ++i) {
+    v[i] = v_lanes[i];
+    acc[i] = acc_lanes[i];
+  }
+  fn(v.data(), acc.data(), relu.data(), pool.data());
+  for (std::size_t i = 0; i < 16; ++i) {
+    const float want_relu = std::max(v[i], 0.0f);
+    const float want_pool = std::max(acc[i], v[i]);
+    EXPECT_EQ(std::memcmp(&relu[i], &want_relu, sizeof(float)), 0)
+        << "relu lane " << i;
+    EXPECT_EQ(std::memcmp(&pool[i], &want_pool, sizeof(float)), 0)
+        << "pool lane " << i;
   }
 }
 
