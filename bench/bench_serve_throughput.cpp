@@ -78,10 +78,7 @@ int main(int argc, char** argv) {
   const double direct_rps = kRequests / direct_s;
 
   // --- served: the same requests through the micro-batching server --------
-  PlanCache cache;
-  ServerOptions so;
-  so.plan_cache = &cache;
-  InferenceServer server(so);
+  InferenceServer server;
   ModelConfig config;
   config.batching.max_batch = kMaxBatch;
   config.batching.max_delay_ms = 2.0;

@@ -83,10 +83,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.batches), m.mean_batch);
   std::printf("  latency    mean %.2f ms, p50 %.2f, p95 %.2f, p99 %.2f\n",
               m.mean_latency_ms, m.p50_ms, m.p95_ms, m.p99_ms);
-  std::printf("  plan cache %llu entries, %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(stats.plan_cache.entries),
-              static_cast<unsigned long long>(stats.plan_cache.hits),
-              static_cast<unsigned long long>(stats.plan_cache.misses));
 
   std::printf("\n--- /metrics (Prometheus exposition) ---\n%s",
               server.metrics_prometheus().c_str());

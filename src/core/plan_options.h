@@ -84,8 +84,8 @@ struct PlanOptions {
 
   /// Check the Û/I'_tmp/I' workspaces out of the shared
   /// mem::WorkspacePool instead of private allocations: plans of one
-  /// shape constructed repeatedly (tuner, selection planner, serve
-  /// replicas behind the PlanCache) recycle slabs — and the hugepage
+  /// shape constructed repeatedly (tuner, selection planner, serving
+  /// bucket replicas) recycle slabs — and the hugepage
   /// promotions already paid for — instead of re-faulting them. Off =
   /// the legacy private-allocation path (the mem tests' bitwise oracle).
   bool pooled_workspace = true;
@@ -101,5 +101,11 @@ struct PlanOptions {
   /// paper §4.3.2). Empty = no wisdom.
   std::string wisdom_path;
 };
+
+/// Stable fingerprint of every PlanOptions knob that changes the compiled
+/// artifact or its execution resources — two option sets with equal
+/// fingerprints build interchangeable plans (serving keys its per-bucket
+/// replicas on it).
+std::string plan_options_fingerprint(const PlanOptions& options);
 
 }  // namespace ondwin

@@ -59,8 +59,12 @@ class Executor {
   /// has the sibling's algorithm, tile and weights adopts the sibling's
   /// transformed kernel bank zero-copy (AutoConv::try_adopt_kernels)
   /// before transforming anything; the others, and any step whose bank
-  /// layout differs, transform their own. The sibling must stay alive
-  /// while this executor adopts from it; the shared banks themselves are
+  /// layout differs, transform their own. An adopting step's node then
+  /// drops its untransformed weights, which nothing reads again — so
+  /// those steps no longer match as a sibling; pass an executor that
+  /// transformed its own banks (serving passes its first replica). The
+  /// sibling must stay alive while this
+  /// executor adopts from it; the shared banks themselves are
   /// reference-counted.
   explicit Executor(Graph graph, const CompileOptions& options = {},
                     const Executor* sibling = nullptr);

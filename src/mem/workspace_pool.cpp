@@ -178,8 +178,8 @@ WorkspacePool::Stats WorkspacePool::stats() const {
 const std::string& WorkspacePool::name() const { return core_->name; }
 
 WorkspacePool& WorkspacePool::global() {
-  // Leaked, like PlanCache::global(): plans cached for the process
-  // lifetime hold workspaces past static destruction time.
+  // Leaked: plans that live for the process lifetime hold workspaces
+  // past static destruction time.
   static WorkspacePool* pool = new WorkspacePool("global");
   return *pool;
 }

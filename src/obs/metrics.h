@@ -4,13 +4,13 @@
 // Two usage modes:
 //
 //   * Registry-owned: long-lived process-wide instruments registered by
-//     name + labels (plan-cache hits, wisdom loads, tuner candidates).
+//     name + labels (graph compiles, wisdom loads, tuner candidates).
 //     Registration takes a mutex once; the returned reference is then
 //     updated lock-free from any thread.
 //
-//       obs::Counter& hits = obs::MetricsRegistry::global().counter(
-//           "ondwin_plan_cache_hits_total", "PlanCache hits");
-//       hits.inc();
+//       obs::Counter& compiles = obs::MetricsRegistry::global().counter(
+//           "ondwin_graph_compiles_total", "Graph executors compiled");
+//       compiles.inc();
 //
 //   * Standalone: instruments embedded in an owning object (a model's
 //     batch-occupancy histogram) and rendered into a MetricsPage at
@@ -155,7 +155,7 @@ class MetricsRegistry {
   std::string prometheus_text() const;
   std::string json() const;
 
-  /// The shared process-wide registry (plan cache, wisdom, tuner, ...).
+  /// The shared process-wide registry (graph compiles, wisdom, tuner, ...).
   static MetricsRegistry& global();
 
  private:

@@ -10,7 +10,6 @@
 //                  bound, ranks with a cost model, benchmarks the
 //                  short list, and caches the decision in wisdom v2
 //   pack_image / pack_kernels / unpack_image — layout conversion helpers
-//   PlanCache    — process-wide deduplicated plan construction
 //   Sequential   — a builder for networks of conv/pool layers
 //                  (add_conv_auto for planner-chosen layers); it runs
 //                  nothing itself — to_graph() lowers it to the graph IR
@@ -24,9 +23,10 @@
 //                  over the blocked layout, a JIT'd complex GEMM stage,
 //                  fused epilogues — same FX contract as ConvPlan
 //   serve::InferenceServer — concurrent serving with dynamic
-//                  micro-batching; networks run as one graph::Executor
-//                  per batch-size bucket (ModelConfig::auto_select re-runs
-//                  the planner per bucket for conv models)
+//                  micro-batching; every model (a conv model is a
+//                  one-layer network) runs as one graph::Executor per
+//                  batch-size bucket, and add_conv_auto layers re-run the
+//                  planner per bucket
 //   rpc::RpcServer / rpc::RpcClient / rpc::ShardRouter — the network
 //                  tier: zero-copy length-prefixed tensor framing over
 //                  unix/TCP sockets into the same batcher queues as
@@ -52,7 +52,6 @@
 #include "baseline/simple_winograd.h"      // IWYU pragma: export
 #include "core/conv_plan.h"                // IWYU pragma: export
 #include "core/conv_problem.h"             // IWYU pragma: export
-#include "core/plan_cache.h"               // IWYU pragma: export
 #include "core/plan_options.h"             // IWYU pragma: export
 #include "core/tuner.h"                    // IWYU pragma: export
 #include "core/wisdom.h"                   // IWYU pragma: export

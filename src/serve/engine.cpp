@@ -139,15 +139,7 @@ void Engine::serve_batch(std::vector<PendingRequest> batch) {
         }
       }
       obs::TraceContextScope scope(batch_ctx);
-      if (replica.graph != nullptr) {
-        replica.graph->execute(in_staging_.data(), out_staging_.data());
-      } else if (replica.auto_conv != nullptr) {
-        replica.auto_conv->execute_pretransformed(in_staging_.data(),
-                                                  out_staging_.data());
-      } else {
-        replica.plan->execute_pretransformed(in_staging_.data(),
-                                             out_staging_.data());
-      }
+      replica.graph->execute(in_staging_.data(), out_staging_.data());
     }
     const double exec_ms = exec_timer.millis();
     if (tracing) {

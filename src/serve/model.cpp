@@ -1,7 +1,5 @@
 #include "serve/model.h"
 
-#include <cstring>
-
 namespace ondwin::serve {
 
 namespace {
@@ -13,40 +11,50 @@ std::vector<int> make_buckets(int max_batch) {
   return buckets;
 }
 
+// The one-layer network a conv model is served as. Unpack + repack is an
+// exact copy, so the layer holds the caller's bits.
+std::shared_ptr<const Sequential> conv_network(const std::string& name,
+                                               const ConvProblem& problem,
+                                               const float* kernels_blocked,
+                                               const PlanOptions& plan) {
+  ONDWIN_CHECK(kernels_blocked != nullptr, "model '", name,
+               "' registered without weights");
+  const ConvShape& s = problem.shape;
+  auto net = std::make_shared<Sequential>(1, s.in_channels, s.image, plan);
+  net->add_conv(s.out_channels, s.kernel, s.padding, problem.tile_m,
+                /*relu=*/false);
+  const KernelLayout kl = problem.kernel_layout();
+  AlignedBuffer<float> plain(static_cast<std::size_t>(kl.total_floats()));
+  unpack_kernels(kernels_blocked, plain.data(), kl);
+  net->set_conv_weights(0, plain.data(), nullptr);
+  return net;
+}
+
+ConvShape one_sample(ConvShape shape) {
+  shape.batch = 1;
+  return shape;
+}
+
 }  // namespace
 
 Model::Model(std::string name, const ConvProblem& problem,
-             const float* kernels_blocked, const ModelConfig& config,
-             PlanCache* cache)
-    : name_(std::move(name)),
-      config_(config),
-      cache_(cache),
-      pool_(str_cat("model:", name_)),
-      batcher_(config.batching),
-      buckets_(make_buckets(config.batching.max_batch)),
-      is_conv_(true),
-      problem_(problem) {
-  ONDWIN_CHECK(kernels_blocked != nullptr, "model '", name_,
-               "' registered without weights");
-  problem_.shape.batch = 1;  // the problem describes one sample
-  problem_.validate();
-  sample_in_ = problem_.input_layout().total_floats();
-  sample_out_ = problem_.output_layout().total_floats();
-  const i64 w_floats = problem_.kernel_layout().total_floats();
-  w_blocked_.reset(static_cast<std::size_t>(w_floats));
-  std::memcpy(w_blocked_.data(), kernels_blocked,
-              static_cast<std::size_t>(w_floats) * sizeof(float));
-}
+             const float* kernels_blocked, const ModelConfig& config)
+    : Model(name,
+            conv_network(name, problem, kernels_blocked, config.plan),
+            config, one_sample(problem.shape)) {}
 
 Model::Model(std::string name, std::shared_ptr<const Sequential> net,
-             const ModelConfig& config, PlanCache* cache)
+             const ModelConfig& config)
+    : Model(std::move(name), std::move(net), config, std::nullopt) {}
+
+Model::Model(std::string name, std::shared_ptr<const Sequential> net,
+             const ModelConfig& config, std::optional<ConvShape> conv_shape)
     : name_(std::move(name)),
       config_(config),
-      cache_(cache),
+      conv_shape_(std::move(conv_shape)),
       pool_(str_cat("model:", name_)),
       batcher_(config.batching),
       buckets_(make_buckets(config.batching.max_batch)),
-      is_conv_(false),
       base_net_(std::move(net)) {
   ONDWIN_CHECK(base_net_ != nullptr, "model '", name_,
                "' registered with a null network");
@@ -67,85 +75,11 @@ int Model::bucket_for(int batch) const {
 }
 
 Model::Replica Model::replica(int bucket, const PlanOptions& options) {
-  if (is_conv_ && config_.auto_select) {
-    // Planner-selected conv replica: one per (bucket, options)
-    // fingerprint, like network replicas. Selection runs once per key —
-    // under the model lock so racing engines cannot measure concurrently
-    // — and is wisdom-v2-cached, so later keys with the same shape (and
-    // server restarts) skip the benchmarks.
-    const std::string key =
-        str_cat(bucket, "|", plan_options_fingerprint(options));
-    std::shared_ptr<AutoReplica> rep;
-    {
-      std::lock_guard<std::mutex> lock(auto_mu_);
-      auto it = auto_replicas_.find(key);
-      if (it == auto_replicas_.end()) {
-        ConvShape shape = problem_.shape;
-        shape.batch = bucket;
-        select::SelectOptions sopts = config_.select;
-        sopts.plan = options;
-        auto fresh = std::make_shared<AutoReplica>();
-        fresh->selected = select::select_config(shape, sopts);
-        fresh->conv = std::make_unique<select::AutoConv>(
-            shape, fresh->selected, options);
-        // Provision weights: Winograd replicas with matching configs
-        // adopt the shared pre-transformed W zero-copy; everything else
-        // transforms/copies from the retained blocked bank.
-        {
-          std::lock_guard<std::mutex> w_lock(w_mu_);
-          if (shared_w_.data == nullptr ||
-              !fresh->conv->try_adopt_kernels(shared_w_)) {
-            fresh->conv->set_kernels(w_blocked_.data());
-            if (shared_w_.data == nullptr) {
-              const SharedKernels exported = fresh->conv->export_kernels();
-              if (exported.data != nullptr) shared_w_ = exported;
-            }
-          }
-        }
-        it = auto_replicas_.emplace(key, std::move(fresh)).first;
-      }
-      rep = it->second;
-    }
-    Replica r;
-    r.exec_mutex = &rep->exec_mutex;
-    r.auto_conv = rep->conv.get();
-    r.selected = &rep->selected;
-    return r;
-  }
-  if (is_conv_) {
-    ConvProblem p = problem_;
-    p.shape.batch = bucket;
-    auto entry = cache_->get_or_create(p, options, name_);
-    Replica r;
-    r.exec_mutex = &entry->exec_mutex;
-    r.plan = entry->plan.get();
-    // Provision weights once per replica: the first one pays the kernel
-    // transform and publishes W; later buckets/engines adopt it
-    // zero-copy. Guarded by the entry's exec mutex so racing engines
-    // cannot transform concurrently.
-    {
-      std::lock_guard<std::mutex> exec_lock(*r.exec_mutex);
-      if (!r.plan->kernels_ready()) {
-        std::lock_guard<std::mutex> w_lock(w_mu_);
-        if (shared_w_.data == nullptr ||
-            !r.plan->try_adopt_kernels(shared_w_)) {
-          r.plan->set_kernels(w_blocked_.data());
-          if (shared_w_.data == nullptr) {
-            shared_w_ = r.plan->export_kernels();
-          }
-        }
-      }
-    }
-    // The cache keeps the entry (and thus the plan) alive for the process
-    // lifetime; handing out raw pointers is safe for engine use.
-    return r;
-  }
-
-  // Network model: one replica per (bucket, options) fingerprint,
-  // compiled once under the model lock. Every replica after the first
-  // adopts an already compiled replica's transformed kernel banks
-  // wherever the conv's backend agrees (always, for fixed layers), so the
-  // model holds one W per conv however many buckets it serves.
+  // One replica per (bucket, options) fingerprint, compiled once under
+  // the model lock. Every replica after the first adopts the first one's
+  // transformed kernel banks wherever the conv's backend agrees (always,
+  // for fixed layers), so the model holds one W per conv however many
+  // buckets it serves.
   const std::string key =
       str_cat(bucket, "|", plan_options_fingerprint(options));
   std::shared_ptr<NetReplica> rep;
@@ -153,15 +87,13 @@ Model::Replica Model::replica(int bucket, const PlanOptions& options) {
     std::lock_guard<std::mutex> lock(net_mu_);
     auto it = net_replicas_.find(key);
     if (it == net_replicas_.end()) {
-      const graph::Executor* sibling =
-          net_replicas_.empty() ? nullptr
-                                : net_replicas_.begin()->second->graph.get();
       graph::CompileOptions copts;
       copts.plan = options;
       copts.pool = &pool_;
       auto fresh = std::make_shared<NetReplica>();
       fresh->graph = std::make_unique<graph::Executor>(
-          base_net_->to_graph(bucket, options), copts, sibling);
+          base_net_->to_graph(bucket, options), copts, first_);
+      if (first_ == nullptr) first_ = fresh->graph.get();
       it = net_replicas_.emplace(key, std::move(fresh)).first;
     }
     rep = it->second;

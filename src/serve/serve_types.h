@@ -5,9 +5,9 @@
 //
 //   submit()/submit_async() → per-model RequestQueue → Batcher (flush on
 //   batch-full or deadline) → worker Engine (per-batch-size replica: a
-//   ConvPlan or AutoConv for conv models, a graph::Executor for networks)
-//   → completion callback (a future for in-proc submit(), a socket write
-//   for the rpc tier)
+//   graph::Executor, for conv models and networks alike) → completion
+//   callback (a future for in-proc submit(), a socket write for the rpc
+//   tier)
 //
 // Requests are single samples (batch 1) in the model's SIMD-blocked input
 // layout. The engine core is transport-agnostic: an in-proc call and a
@@ -22,12 +22,10 @@
 #include <map>
 #include <string>
 
-#include "core/plan_cache.h"
 #include "core/plan_options.h"
 #include "mem/workspace_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "select/select.h"
 
 namespace ondwin::serve {
 
@@ -51,9 +49,9 @@ struct ModelConfig {
   BatchPolicy batching;
 
   /// Dedicated worker engines draining this model's queue. Engines with
-  /// identical plan options share execution replicas (construction is
-  /// deduplicated through the plan cache, executions serialize); pinned
-  /// engines get disjoint CPU ranges and execute truly concurrently.
+  /// identical plan options share execution replicas (each is compiled
+  /// once, executions serialize); pinned engines get disjoint CPU ranges
+  /// and execute truly concurrently.
   int engines = 1;
 
   /// Plan knobs shared by every replica (JIT switches, wisdom, blocking
@@ -62,24 +60,9 @@ struct ModelConfig {
   /// `plan.cpu_base` are assigned by the server when CPU pinning is on.
   /// `plan.precision` selects reduced (bf16/fp16) storage for the conv
   /// intermediates — the ONDWIN_PREC environment variable overrides it
-  /// at engine launch, and distinct precisions never share a plan-cache
-  /// entry or a transformed-kernel bank.
+  /// at engine launch, and distinct precisions never share a replica or
+  /// a transformed-kernel bank.
   PlanOptions plan;
-
-  /// When true, conv models run the selection planner (ondwin::select)
-  /// per batch-size bucket instead of a fixed Winograd plan: the bucket's
-  /// batch moves the algorithm crossover, so each replica independently
-  /// gets the fastest of {direct, FFT, Winograd F(m, r)} for its size.
-  /// Decisions are cached in wisdom v2 through `plan.wisdom_path`, so a
-  /// server restart (or a second engine) pays no re-measurement. Network
-  /// models ignore this — their auto layers (add_conv_auto) already
-  /// re-select per replica.
-  bool auto_select = false;
-
-  /// Planner knobs for auto_select (budget, top-K, class gates, accuracy
-  /// bound). The `plan` field inside is ignored: the model's own `plan`
-  /// governs execution and carries the wisdom path.
-  select::SelectOptions select;
 };
 
 /// Server-wide configuration.
@@ -93,10 +76,6 @@ struct ServerOptions {
   /// `ModelConfig::plan.threads` is 0.
   int cpu_begin = 0;
   int cpu_count = 0;
-
-  /// Plan cache used for replica deduplication (nullptr = the process
-  /// global cache).
-  PlanCache* plan_cache = nullptr;
 
   /// Opt-in debug/metrics HTTP endpoint (obs::HttpExporter): -1 (the
   /// default) serves nothing; 0 binds a kernel-picked port (read it back
@@ -199,7 +178,6 @@ struct ModelStats {
 /// Snapshot of the whole server.
 struct ServerStats {
   std::map<std::string, ModelStats> models;
-  PlanCache::Stats plan_cache;
   int engines = 0;
 };
 

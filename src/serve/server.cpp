@@ -15,8 +15,6 @@ namespace ondwin::serve {
 
 InferenceServer::InferenceServer(const ServerOptions& options)
     : options_(options),
-      cache_(options.plan_cache != nullptr ? options.plan_cache
-                                           : &PlanCache::global()),
       cpu_budget_(options.cpu_count > 0 ? options.cpu_count
                                         : hardware_threads()),
       next_cpu_(options.cpu_begin) {
@@ -44,30 +42,22 @@ void InferenceServer::register_conv(const std::string& name,
                                     const ConvProblem& problem,
                                     const float* kernels_blocked,
                                     const ModelConfig& config) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ONDWIN_CHECK(!shut_down_, "server is shut down");
-  ONDWIN_CHECK(models_.count(name) == 0, "model '", name,
-               "' already registered");
-  auto model =
-      std::make_unique<Model>(name, problem, kernels_blocked, config, cache_);
-  launch_engines(*model, config);
-  models_.emplace(name, std::move(model));
+  add_model(std::make_unique<Model>(name, problem, kernels_blocked, config));
 }
 
 void InferenceServer::register_network(const std::string& name,
                                        std::shared_ptr<const Sequential> net,
                                        const ModelConfig& config) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ONDWIN_CHECK(!shut_down_, "server is shut down");
-  ONDWIN_CHECK(models_.count(name) == 0, "model '", name,
-               "' already registered");
-  auto model = std::make_unique<Model>(name, std::move(net), config, cache_);
-  launch_engines(*model, config);
-  models_.emplace(name, std::move(model));
+  add_model(std::make_unique<Model>(name, std::move(net), config));
 }
 
-void InferenceServer::launch_engines(Model& model, const ModelConfig& config) {
-  ONDWIN_CHECK(config.engines >= 1, "model '", model.name(),
+void InferenceServer::add_model(std::unique_ptr<Model> model) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ONDWIN_CHECK(!shut_down_, "server is shut down");
+  ONDWIN_CHECK(models_.count(model->name()) == 0, "model '", model->name(),
+               "' already registered");
+  const ModelConfig& config = model->config();
+  ONDWIN_CHECK(config.engines >= 1, "model '", model->name(),
                "' needs at least one engine, got ", config.engines);
   const int share =
       std::max(1, cpu_budget_ / std::max(1, config.engines));
@@ -76,7 +66,7 @@ void InferenceServer::launch_engines(Model& model, const ModelConfig& config) {
     // ONDWIN_PREC beats the model's configured storage precision, so a
     // deployment can flip a whole server to bf16/fp16 (or back) without
     // a rebuild. Applied before replica construction so every engine's
-    // plan-cache key carries the effective precision.
+    // replica key carries the effective precision.
     precision_env_override(&po.precision);
     if (po.threads <= 0) po.threads = share;
     if (options_.pin_engines) {
@@ -85,10 +75,12 @@ void InferenceServer::launch_engines(Model& model, const ModelConfig& config) {
       next_cpu_ += po.threads;
     }
     auto engine = std::make_unique<Engine>(
-        model, po, static_cast<int>(engines_.size()));
+        *model, po, static_cast<int>(engines_.size()));
     engine->start();
     engines_.push_back(std::move(engine));
   }
+  const std::string name = model->name();
+  models_.emplace(name, std::move(model));
 }
 
 ResultFuture InferenceServer::submit(const std::string& model_name,
@@ -182,9 +174,9 @@ InferenceServer::ModelInfo InferenceServer::model_info(
   info.sample_input_floats = m->sample_input_floats();
   info.sample_output_floats = m->sample_output_floats();
   info.max_batch = m->config().batching.max_batch;
-  if (const ConvProblem* p = m->conv_problem()) {
+  if (const ConvShape* shape = m->conv_shape()) {
     info.has_conv_shape = true;
-    info.conv_shape = p->shape;
+    info.conv_shape = *shape;
   }
   return info;
 }
@@ -244,7 +236,6 @@ ServerStats InferenceServer::stats() const {
   for (const auto& [name, model] : models_) {
     s.models.emplace(name, model->snapshot());
   }
-  s.plan_cache = cache_->stats();
   s.engines = static_cast<int>(engines_.size());
   return s;
 }
@@ -317,21 +308,6 @@ obs::MetricsPage InferenceServer::metrics_page() const {
   }
   page.add_gauge("ondwin_serve_engines", "Running worker engines", {},
                  static_cast<double>(s.engines));
-  page.add_counter("ondwin_serve_plan_cache_hits_total",
-                   "Replica lookups served from this server's plan cache",
-                   {}, static_cast<double>(s.plan_cache.hits));
-  page.add_counter("ondwin_serve_plan_cache_misses_total",
-                   "Replica lookups that built a plan", {},
-                   static_cast<double>(s.plan_cache.misses));
-  page.add_gauge("ondwin_serve_plan_cache_entries",
-                 "Plans resident in this server's cache", {},
-                 static_cast<double>(s.plan_cache.entries));
-  const u64 lookups = s.plan_cache.hits + s.plan_cache.misses;
-  page.add_gauge("ondwin_serve_plan_cache_hit_rate",
-                 "Fraction of replica lookups served from the cache", {},
-                 lookups > 0 ? static_cast<double>(s.plan_cache.hits) /
-                                   static_cast<double>(lookups)
-                             : 0.0);
   obs::Tracer::instance().emit_metrics(page);
   obs::MetricsRegistry::global().emit_to(page);
   return page;

@@ -8,9 +8,11 @@
 //
 // Concurrent submit()s against a model are coalesced by its dynamic
 // micro-batcher (flush on batch-full or deadline) and executed by its
-// worker engines on per-batch-size plan replicas, all deduplicated
-// through the shared PlanCache and all sharing one immutable
-// pre-transformed weight bank per model. Results come back as futures.
+// worker engines on per-batch-size graph::Executor replicas, each built
+// once per (bucket, options) and all sharing one immutable
+// pre-transformed weight bank per conv. A conv model is a one-layer
+// network, so networks and single convolutions serve through the same
+// path. Results come back as futures.
 // Overload is met with fast rejection (bounded queues); shutdown drains
 // in-flight work by default.
 #pragma once
@@ -42,7 +44,10 @@ class InferenceServer {
 
   /// Registers a convolution model and launches its engines. `problem`
   /// describes one sample (its batch field is ignored and treated as 1);
-  /// `kernels_blocked` is copied. Throws on duplicate names.
+  /// `kernels_blocked` is copied. The model is served as a one-layer
+  /// network — F(problem.tile_m) Winograd, no bias, no ReLU — under
+  /// `config.plan`; its ConvShape stays the request shape contract
+  /// (model_info). Throws on duplicate names.
   void register_conv(const std::string& name, const ConvProblem& problem,
                      const float* kernels_blocked,
                      const ModelConfig& config = {});
@@ -110,9 +115,9 @@ class InferenceServer {
   ServerStats stats() const;
 
   /// The server's serving metrics — per-model request/batch counters,
-  /// latency quantiles, batch-occupancy histograms, plan-cache hit rate —
+  /// latency quantiles, batch-occupancy histograms, pool hit rates —
   /// followed by the process-global obs registry (ondwin_* counters from
-  /// the plan cache, wisdom stores and tuner), rendered as Prometheus
+  /// graph compiles, wisdom stores and tuner), rendered as Prometheus
   /// text exposition (0.0.4) or the equivalent JSON document. Scrape
   /// endpoints can serve either verbatim.
   std::string metrics_prometheus() const;
@@ -130,11 +135,10 @@ class InferenceServer {
 
  private:
   obs::MetricsPage metrics_page() const;
-  void launch_engines(Model& model, const ModelConfig& config);
+  void add_model(std::unique_ptr<Model> model);
   Model* find_model(const std::string& name) const;
 
   const ServerOptions options_;
-  PlanCache* const cache_;
   const int cpu_budget_;
   std::unique_ptr<obs::HttpExporter> http_;
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/conv_plan.h"
-#include "core/plan_cache.h"
+#include "core/plan_options.h"
 #include "mem/arena.h"
 #include "mem/topology.h"
 #include "util/rng.h"
@@ -343,9 +343,9 @@ TEST(MemInvisibility, FirstTouchRunsOnlyWhenAsked) {
   EXPECT_EQ(without.first_touch_seconds(), 0.0);
 }
 
-TEST(MemInvisibility, PlanCacheKeysOnMemOptions) {
+TEST(MemInvisibility, OptionsFingerprintKeysOnMemOptions) {
   // pooled_workspace / numa_first_touch participate in plan identity: a
-  // cached pooled plan must never be served to a legacy-allocation caller.
+  // pooled replica must never be served to a legacy-allocation caller.
   PlanOptions a;
   PlanOptions b = a;
   b.pooled_workspace = !a.pooled_workspace;
@@ -356,7 +356,7 @@ TEST(MemInvisibility, PlanCacheKeysOnMemOptions) {
 }
 
 TEST(MemPoolIntegration, PlanReconstructionHitsThePool) {
-  // Constructing the same staged shape repeatedly (tuner / PlanCache
+  // Constructing the same staged shape repeatedly (tuner / replica
   // rebuild pattern) must recycle slabs from the global pool.
   const ConvProblem p = make_problem(2, 32, 32, {24, 24}, {3, 3}, {1, 1},
                                      {2, 2});

@@ -8,7 +8,7 @@
 //     within the planner's storage-error proxy;
 //   * planning — resolve_storage_precision admit/demote, select_config
 //     never emitting a budget-violating precision, precision-aware
-//     plan-cache fingerprints, and the wisdom v2 `prec=` token
+//     plan-options fingerprints, and the wisdom v2 `prec=` token
 //     (round-trip, optional/malformed parsing, v1-store preservation,
 //     stale-precision fallback to re-selection).
 #include "util/precision.h"
@@ -26,7 +26,7 @@
 
 #include "baseline/direct_conv.h"
 #include "core/conv_plan.h"
-#include "core/plan_cache.h"
+#include "core/plan_options.h"
 #include "core/wisdom.h"
 #include "graph/executor.h"
 #include "net/sequential.h"

@@ -1,8 +1,9 @@
 // ondwin::rpc coverage: wire-format round trips and rejection of
-// malformed frames, bitwise identity of unix-socket serving vs direct
-// execution, mixed in-proc + socket batch merging through the shared
-// batcher, admission-control shedding, client reconnect, and
-// consistent-hash placement / failover in the shard router.
+// malformed frames and mismatched frame shapes, bitwise identity of
+// unix-socket serving vs direct execution, mixed in-proc + socket batch
+// merging through the shared batcher, admission-control shedding, client
+// reconnect, and consistent-hash placement / failover in the shard
+// router.
 #include "rpc/rpc_server.h"
 
 #include <gtest/gtest.h>
@@ -693,6 +694,67 @@ TEST(RpcLoopback, LegacyV1FrameRejectedWithoutStreamDesync) {
 
   // A polite version reject is not a protocol error.
   EXPECT_EQ(rpc.stats().protocol_errors, 0u);
+  ::close(fd);
+  rpc.stop();
+}
+
+// A conv model's frame-shape contract: a v2 request that carries a
+// ConvShape (rank > 0) and the right payload size, but a shape other than
+// the registered one, draws kBadRequest while the stream stays in sync; a
+// frame whose shape matches is then served on the same connection,
+// bitwise identical to direct execution.
+TEST(RpcLoopback, MismatchedFrameShapeRejectedMatchingShapeServed) {
+  Fixture fx;
+  const std::string path = test_socket_path("shape");
+  RpcServerOptions so;
+  so.unix_path = path;
+  RpcServer rpc(fx.server, so);
+  rpc.start();
+
+  const int fd = connect_unix(path);
+  ASSERT_GE(fd, 0);
+
+  AlignedBuffer<float> input;
+  fill_random(input, fx.sin, 0x52);
+  const std::string name = "conv";
+
+  auto send = [&](u64 id, const ConvShape& shape) {
+    FrameHeader req;
+    req.type = FrameType::kRequest;
+    req.request_id = id;
+    req.model_len = static_cast<u32>(name.size());
+    req.payload_bytes = static_cast<u32>(fx.sin * sizeof(float));
+    ASSERT_TRUE(shape_to_header(shape, &req));
+    ASSERT_GT(req.rank, 0);
+    u8 hdr[kFrameHeaderBytes];
+    encode_header(req, hdr);
+    ASSERT_TRUE(write_all(fd, hdr, sizeof(hdr)));
+    ASSERT_TRUE(write_all(fd, name.data(), name.size()));
+    ASSERT_TRUE(write_all(fd, input.data(), fx.sin * sizeof(float)));
+  };
+
+  // Twice the output channels: the input payload size is unchanged, so
+  // only the shape check can tell.
+  ConvShape wrong = fx.p.shape;
+  wrong.out_channels *= 2;
+  send(1, wrong);
+  FrameHeader resp;
+  std::string payload;
+  ASSERT_TRUE(read_frame(fd, &resp, &payload));
+  EXPECT_EQ(resp.type, FrameType::kError);
+  EXPECT_EQ(resp.status, kBadRequest);
+  EXPECT_EQ(resp.request_id, 1u);
+
+  send(2, fx.p.shape);
+  ASSERT_TRUE(read_frame(fd, &resp, &payload));
+  EXPECT_EQ(resp.type, FrameType::kResponse);
+  EXPECT_EQ(resp.status, kOk);
+  EXPECT_EQ(resp.request_id, 2u);
+  ASSERT_EQ(payload.size(), fx.sout * sizeof(float));
+  const std::vector<float> want = fx.expected(input);
+  EXPECT_EQ(std::memcmp(payload.data(), want.data(), payload.size()), 0);
+
+  EXPECT_EQ(fx.server.stats().models.at("conv").completed, 1u);
   ::close(fd);
   rpc.stop();
 }

@@ -321,6 +321,9 @@ TEST(SelectSequential, AutoLayerMatchesFixedLayer) {
 
 // ------------------------------------------------------------- serving ---
 
+// A planner-chosen conv model is a one-layer add_conv_auto network:
+// served with register_network, it re-selects per bucket and must agree
+// with the fixed Winograd conv model on the same weights.
 TEST(SelectServe, AutoSelectModelMatchesFixedModel) {
   TempFile f;
   ConvProblem p;
@@ -339,12 +342,19 @@ TEST(SelectServe, AutoSelectModelMatchesFixedModel) {
   serve::ModelConfig fixed;
   fixed.plan.threads = 1;
   serve::ModelConfig autod = fixed;
-  autod.auto_select = true;
   autod.plan.wisdom_path = f.path();
-  autod.select.budget_seconds = 0.1;
-  autod.select.top_k = 1;
+  select::SelectOptions sopts;
+  sopts.budget_seconds = 0.1;
+  sopts.top_k = 1;
+  auto net = std::make_shared<Sequential>(1, p.shape.in_channels,
+                                          p.shape.image, autod.plan);
+  net->add_conv_auto(p.shape.out_channels, p.shape.kernel, p.shape.padding,
+                     /*relu=*/false, sopts);
+  AlignedBuffer<float> plain(w.size());
+  unpack_kernels(w.data(), plain.data(), k_l);
+  net->set_conv_weights(0, plain.data(), nullptr);
   server.register_conv("fixed", p, w.data(), fixed);
-  server.register_conv("auto", p, w.data(), autod);
+  server.register_network("auto", net, autod);
 
   serve::ResultFuture ff = server.submit("fixed", sample.data());
   serve::ResultFuture fa = server.submit("auto", sample.data());
