@@ -181,14 +181,12 @@ int run_graph_section(bool xl, const std::string& json_path,
   double log_speedup_sum = 0;
   int chain_count = 0, wins_12 = 0, planned_wins = 0;
 
-  // One thread per plan: both executors of a chain stay alive while the
-  // other is timed, and idle multi-thread pools spinning against the
-  // measured one would time the scheduler, not the schedule.
-  PlanOptions one_thread;
-  one_thread.threads = 1;
+  // Default options: every core. Both executors of a chain stay alive
+  // while the other is timed; the idle one's pool workers park on the
+  // barrier instead of competing for the cores.
   for (const auto& C : chains) {
     const int rank = C.image.rank();
-    Sequential net(C.batch, C.cin, C.image, one_thread);
+    Sequential net(C.batch, C.cin, C.image);
     for (int i = 0; i < C.convs; ++i) {
       net.add_conv(C.cout, Dims::filled(rank, 3), Dims::filled(rank, 1),
                    C.tile, /*relu=*/true);

@@ -6,8 +6,12 @@
 
 namespace ondwin {
 
-DirectConvBlocked::DirectConvBlocked(const ConvShape& shape, int threads)
-    : shape_(shape) {
+DirectConvBlocked::DirectConvBlocked(const ConvShape& shape, int threads,
+                                     std::shared_ptr<ThreadPool> pool)
+    : shape_(shape),
+      pool_(pool != nullptr ? std::move(pool)
+                            : std::make_shared<ThreadPool>(
+                                  threads > 0 ? threads : hardware_threads())) {
   shape_.validate();
   ONDWIN_CHECK(shape_.in_channels % kSimdWidth == 0 &&
                    shape_.out_channels % kSimdWidth == 0,
@@ -18,8 +22,6 @@ DirectConvBlocked::DirectConvBlocked(const ConvShape& shape, int threads)
   for (int d = 0; d + 1 < rank; ++d) outer_dims_.push_back(out_dims_[d]);
   if (outer_dims_.empty()) outer_dims_.push_back(1);
 
-  pool_ = std::make_unique<ThreadPool>(
-      threads > 0 ? threads : hardware_threads());
   sched_ = static_partition({shape_.batch, shape_.out_channels / kSimdWidth,
                              outer_dims_.product()},
                             pool_->size());

@@ -20,8 +20,10 @@ namespace ondwin {
 
 class DirectConvBlocked {
  public:
-  /// `threads` = 0 uses hardware threads.
-  explicit DirectConvBlocked(const ConvShape& shape, int threads = 0);
+  /// `pool`: the worker pool to run on (see ConvPlan); null = build one
+  /// of `threads` (0 = hardware threads).
+  explicit DirectConvBlocked(const ConvShape& shape, int threads = 0,
+                             std::shared_ptr<ThreadPool> pool = nullptr);
   ~DirectConvBlocked();
 
   /// Blocked layouts (tensor/layout.h): in I[b][c/S][img][s],
@@ -37,7 +39,7 @@ class DirectConvBlocked {
   ConvShape shape_;
   Dims out_dims_;
   Dims outer_dims_;  // all output spatial dims except the last
-  std::unique_ptr<ThreadPool> pool_;
+  std::shared_ptr<ThreadPool> pool_;
   std::vector<GridBox> sched_;
   std::vector<AlignedBuffer<float>> row_scratch_;  // per thread
 };

@@ -90,8 +90,14 @@ struct ConvPlan::ThreadScratch {
         widen(static_cast<std::size_t>(prec_stage_floats)) {}
 };
 
-ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options)
-    : problem_(problem), options_(options) {
+ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options,
+                   std::shared_ptr<ThreadPool> pool)
+    : problem_(problem),
+      options_(options),
+      pool_(pool != nullptr ? std::move(pool)
+                            : std::make_shared<ThreadPool>(
+                                  options.threads > 0 ? options.threads
+                                                      : hardware_threads())) {
   problem_.validate();
   prec_ = options_.precision;
   static obs::Counter* prec_plans[3] = {nullptr, nullptr, nullptr};
@@ -124,10 +130,8 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options)
   ib_ = nb_pad_ / blocking_.n_blk;
   kb_ = problem_.shape.in_channels / blocking_.c_blk;
   jb_ = problem_.shape.out_channels / blocking_.cp_blk;
-  const int threads =
-      options_.threads > 0 ? options_.threads : hardware_threads();
-  fusion_ = choose_fusion(problem_, blocking_, threads, l2_cache_bytes(),
-                          options_.fusion, prec_);
+  fusion_ = choose_fusion(problem_, blocking_, pool_->size(),
+                          l2_cache_bytes(), options_.fusion, prec_);
 
   build_programs();
   build_pipelines();
@@ -137,9 +141,6 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options)
         *kernels_, blocking_.n_blk, blocking_.c_blk, blocking_.cp_blk, kb_,
         jb_, t_elems_, out_groups_, options_.scatter_in_gemm, prec_);
   }
-
-  pool_ = std::make_unique<ThreadPool>(threads, options_.pin_threads,
-                                       options_.cpu_base);
 
   build_schedules();
   allocate_buffers();
@@ -529,20 +530,8 @@ void ConvPlan::build_scratch() {
     // Construct each thread's scratch on the thread that will use it, so
     // first-touch places the fused Û/X̂ block scratch (the big one) and
     // the transform staging on the owner's NUMA node. An allocation
-    // failure must not escape a pool worker — it is ferried back and
-    // rethrown on the constructing thread.
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(pool_->size()));
-    pool_->run([&](int tid) {
-      try {
-        make(tid);
-      } catch (...) {
-        errors[static_cast<std::size_t>(tid)] = std::current_exception();
-      }
-    });
-    for (auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+    // failure on a worker is rethrown here by ThreadPool::run.
+    pool_->run(make);
   } else {
     for (int t = 0; t < pool_->size(); ++t) make(t);
   }

@@ -132,7 +132,11 @@ struct SharedKernels {
 
 class ConvPlan {
  public:
-  ConvPlan(const ConvProblem& problem, const PlanOptions& options = {});
+  /// `pool`: the worker pool to run on, typically one lent by a
+  /// graph::Executor to all its conv steps; its size() is the plan's
+  /// thread count. Null = the plan builds its own of options.threads.
+  ConvPlan(const ConvProblem& problem, const PlanOptions& options = {},
+           std::shared_ptr<ThreadPool> pool = nullptr);
   ~ConvPlan();
 
   ConvPlan(const ConvPlan&) = delete;
@@ -342,7 +346,7 @@ class ConvPlan {
 
   // Scheduling. sched_fused_ partitions the 1-D grid of row blocks so each
   // thread owns a contiguous run, driven as tile blocks of ≤ f_blk.
-  std::unique_ptr<ThreadPool> pool_;
+  std::shared_ptr<ThreadPool> pool_;
   std::vector<GridBox> sched_input_, sched_kernel_, sched_gemm_,
       sched_copy_, sched_inverse_, sched_fused_;
   std::vector<std::unique_ptr<ThreadScratch>> scratch_;

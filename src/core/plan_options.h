@@ -25,16 +25,9 @@ enum class FusionMode : u8 {
 
 struct PlanOptions {
   /// Total threads (including the calling thread). 0 = hardware threads.
+  /// A plan built on a lent pool (graph::Executor lends one to all its
+  /// conv steps) runs at that pool's size instead.
   int threads = 0;
-
-  /// Pin thread i to CPU `cpu_base + i` (paper pins to KNL cores; off by
-  /// default here because oversubscribed CI hosts regress when pinned).
-  bool pin_threads = false;
-
-  /// First CPU of the pinning range. Serving engines partition the machine
-  /// into disjoint ranges (engine k gets CPUs [k·T, (k+1)·T)) so several
-  /// plans coexist without oversubscription. Ignored unless pin_threads.
-  int cpu_base = 0;
 
   /// Use the JIT AVX-512 GEMM microkernels (falls back to the portable
   /// reference kernel automatically when the host lacks AVX-512).

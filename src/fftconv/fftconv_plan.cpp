@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cstring>
 #include <sstream>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/cpu.h"
 
 namespace ondwin::fftconv {
 namespace {
@@ -44,12 +44,6 @@ int pick_row_block(i64 rows) {
   return 24;
 }
 
-int resolve_threads(const PlanOptions& options) {
-  if (options.threads > 0) return options.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 i64 grid_for_dim(const ConvShape& shape, int d) {
   const i64 want = shape.image[d] + 2 * shape.padding[d] + shape.kernel[d] - 1;
   i64 g = static_cast<i64>(next_pow2(static_cast<u64>(want)));
@@ -85,7 +79,8 @@ FftGeometry fft_conv_geometry(const ConvShape& shape) {
 }
 
 FftConvPlan::FftConvPlan(const ConvShape& shape, const PlanOptions& options,
-                         const Blocking& blocking)
+                         const Blocking& blocking,
+                         std::shared_ptr<ThreadPool> pool)
     : shape_(shape),
       options_(options),
       in_layout_(shape.batch, shape.in_channels, shape.image),
@@ -95,8 +90,10 @@ FftConvPlan::FftConvPlan(const ConvShape& shape, const PlanOptions& options,
         shape.validate();
         return grid_for_dim(shape, shape.image.rank() - 1);
       }()),
-      pool_(resolve_threads(options), options.pin_threads,
-            options.cpu_base) {
+      pool_(pool != nullptr ? std::move(pool)
+                            : std::make_shared<ThreadPool>(
+                                  options.threads > 0 ? options.threads
+                                                      : hardware_threads())) {
   const int rank = shape_.image.rank();
   const FftGeometry geo = fft_conv_geometry(shape_);
   grid_ = geo.grid;
@@ -153,7 +150,7 @@ FftConvPlan::FftConvPlan(const ConvShape& shape, const PlanOptions& options,
       kSimdWidth;
   scratch_ = mem::Workspace::from_pool(
       mem::WorkspacePool::global(),
-      static_cast<std::size_t>(pool_.size() * scratch_per_thread_),
+      static_cast<std::size_t>(pool_->size() * scratch_per_thread_),
       /*zero=*/false);
 
   Stats& s = stats();
@@ -234,10 +231,10 @@ void FftConvPlan::set_kernels(const float* kernels_blocked) {
   const i64 taps = shape_.kernel.product();
   const i64 out_groups = Cp / kSimdWidth;
   const i64 tasks = C * out_groups;
-  const int nthreads = pool_.size();
+  const int nthreads = pool_->size();
   const i64 bin_stride = C * Cp;
 
-  pool_.run([&](int tid) {
+  pool_->run([&](int tid) {
     float* realg = scratch_.data() + tid * scratch_per_thread_;
     float* fre = realg + grid_floats_ * kSimdWidth;
     float* fim = fre + freq_floats_ * kSimdWidth;
@@ -554,18 +551,18 @@ void FftConvPlan::execute_pretransformed(const float* input, float* output,
       "FFT convolution batch executions");
   execs.inc();
 
-  const int threads = pool_.size();
+  const int threads = pool_->size();
   {
     ONDWIN_TRACE_SPAN("fftconv.input");
-    pool_.run([&](int tid) { transform_input_task(tid, threads, input); });
+    pool_->run([&](int tid) { transform_input_task(tid, threads, input); });
   }
   {
     ONDWIN_TRACE_SPAN("fftconv.gemm");
-    pool_.run([&](int tid) { gemm_task(tid, threads); });
+    pool_->run([&](int tid) { gemm_task(tid, threads); });
   }
   {
     ONDWIN_TRACE_SPAN("fftconv.inverse");
-    pool_.run([&](int tid) {
+    pool_->run([&](int tid) {
       inverse_task(tid, threads, output, epilogue);
     });
   }

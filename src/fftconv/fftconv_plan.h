@@ -64,9 +64,12 @@ class FftConvPlan {
  public:
   /// `blocking`: optional n/c/cp overrides (zeros = heuristic; invalid
   /// overrides fall back to the heuristic rather than throwing, so tuner
-  /// ladders probing Winograd-flavoured blockings stay safe).
+  /// ladders probing Winograd-flavoured blockings stay safe). `pool`: the
+  /// worker pool to run on (see ConvPlan); null = build one of
+  /// options.threads.
   FftConvPlan(const ConvShape& shape, const PlanOptions& options = {},
-              const Blocking& blocking = {});
+              const Blocking& blocking = {},
+              std::shared_ptr<ThreadPool> pool = nullptr);
   ~FftConvPlan();
 
   FftConvPlan(const FftConvPlan&) = delete;
@@ -130,7 +133,7 @@ class FftConvPlan {
   RealFft1d rfft_;
 
   std::unique_ptr<KernelSet> kernels_;
-  ThreadPool pool_;
+  std::shared_ptr<ThreadPool> pool_;
 
   // Û (re, im, −im) then X̂ (re, im) planes, each bins_·rows_padded_·C
   // (resp. ·C') floats, checked out of the global workspace pool once.

@@ -4,8 +4,9 @@
 //
 //   compile:  fusion pass → memory plan → one arena slab checked out of a
 //             mem::WorkspacePool (first-touched/zeroed at compile time) →
-//             a select::AutoConv per surviving conv step, built from the
-//             node's backend config (Winograd, FFT or direct) with its
+//             one ThreadPool of plan.threads → a select::AutoConv per
+//             surviving conv step, built from the node's backend config
+//             (Winograd, FFT or direct) on that shared pool, with its
 //             weights transformed once, here — or adopted zero-copy from
 //             a sibling executor compiled from the same network
 //   execute:  run the step list in order; every intermediate activation
@@ -27,16 +28,18 @@
 #include "graph/ir.h"
 #include "graph/memory_planner.h"
 #include "mem/workspace_pool.h"
+#include "sched/thread_pool.h"
 
 namespace ondwin::graph {
 
 struct CompileOptions {
   /// Plan knobs shared by every conv step (threads, JIT switches, fusion
-  /// mode, wisdom). Each node's backend config (tile, blocking) applies
-  /// on top, by AutoConv's rules. `plan.precision` (or the ONDWIN_PREC
-  /// environment variable, which overrides it at compile time) switches
-  /// every conv step to reduced bf16/fp16 intermediate storage with fp32
-  /// accumulation.
+  /// mode, wisdom). `plan.threads` sizes the executor's one worker pool,
+  /// which every conv step runs on. Each node's backend config (tile,
+  /// blocking) applies on top, by AutoConv's rules. `plan.precision` (or
+  /// the ONDWIN_PREC environment variable, which overrides it at compile
+  /// time) switches every conv step to reduced bf16/fp16 intermediate
+  /// storage with fp32 accumulation.
   PlanOptions plan;
 
   /// Fold bias/relu/pool chains into conv epilogues (graph/fusion.h).
@@ -147,6 +150,7 @@ class Executor {
   FusionPlan fusion_;
   MemoryPlan memory_;
   mem::Workspace arena_;
+  std::shared_ptr<ThreadPool> pool_;  // lent to every conv step
   std::vector<ExecStep> exec_;
   std::vector<double> step_seconds_;
   double last_seconds_ = 0;

@@ -1,25 +1,15 @@
 #include "sched/thread_pool.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
-
 #include "obs/trace.h"
 
 namespace ondwin {
 
-ThreadPool::ThreadPool(int threads, bool pin, int cpu_base)
+ThreadPool::ThreadPool(int threads)
     : threads_(threads),
-      pin_(pin),
-      cpu_base_(cpu_base),
       barrier_(threads),
-      task_seconds_(static_cast<std::size_t>(threads), 0.0) {
+      task_seconds_(static_cast<std::size_t>(threads), 0.0),
+      errors_(static_cast<std::size_t>(threads)) {
   ONDWIN_CHECK(threads >= 1, "thread pool needs at least one thread");
-  ONDWIN_CHECK(cpu_base >= 0, "cpu_base must be non-negative, got ",
-               cpu_base);
-  if (pin_) pin_to_cpu(cpu_base_);
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int t = 1; t < threads; ++t) {
     workers_.emplace_back([this, t] { worker_loop(t); });
@@ -53,33 +43,43 @@ void ThreadPool::run_impl(const std::function<void(int)>& fn,
                "ThreadPool::run is not reentrant — nested or concurrent "
                "run() detected");
   if (threads_ == 1) {
-    struct Clear {  // clear even when fn throws (inline path has no barrier
-                    // state to corrupt, so the pool stays usable)
-      std::atomic<bool>& flag;
-      ~Clear() { flag.store(false, std::memory_order_release); }
-    } clear{running_};
     timed_call(fn, 0);
-    return;
+  } else {
+    obs::TraceSpan span(span_name);
+    task_ = &fn;
+    barrier_.wait();  // fork: workers pick up task_
+    timed_call(fn, 0);
+    barrier_.wait();  // join: wait for every worker to finish
+    task_ = nullptr;
   }
-  obs::TraceSpan span(span_name);
-  task_ = &fn;
-  barrier_.wait();  // fork: workers pick up task_
-  timed_call(fn, 0);
-  barrier_.wait();  // join: wait for every worker to finish
-  task_ = nullptr;
+  // Each participant wrote only its own slot before the join, so the
+  // caller reads them race-free here.
+  std::exception_ptr first;
+  for (std::exception_ptr& e : errors_) {
+    if (e == nullptr) continue;
+    if (first == nullptr) first = e;
+    e = nullptr;
+  }
   running_.store(false, std::memory_order_release);
+  if (first != nullptr) std::rethrow_exception(first);
 }
 
 void ThreadPool::timed_call(const std::function<void(int)>& fn, int tid) {
   // Two clock reads per participant per fork–join — noise next to any
-  // real stage, and what makes load-imbalance observable at all.
+  // real stage, and what makes load-imbalance observable at all. An
+  // exception must not skip the join (the other participants would wait
+  // there forever) nor escape a worker thread (std::terminate), so it is
+  // parked in this participant's slot for run_impl to rethrow.
   Timer t;
-  fn(tid);
+  try {
+    fn(tid);
+  } catch (...) {
+    errors_[static_cast<std::size_t>(tid)] = std::current_exception();
+  }
   task_seconds_[static_cast<std::size_t>(tid)] = t.seconds();
 }
 
 void ThreadPool::worker_loop(int tid) {
-  if (pin_) pin_to_cpu(cpu_base_ + tid);
   for (;;) {
     barrier_.wait();  // wait for a task (or shutdown)
     if (stop_) return;
@@ -89,19 +89,6 @@ void ThreadPool::worker_loop(int tid) {
     }
     barrier_.wait();  // signal completion
   }
-}
-
-void ThreadPool::pin_to_cpu(int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  const long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu <= 0 || cpu >= ncpu) return;  // oversubscribed: skip pinning
-  CPU_SET(cpu, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
 }
 
 }  // namespace ondwin

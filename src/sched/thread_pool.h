@@ -1,8 +1,9 @@
 // Persistent worker pool executing statically scheduled stages with a
-// single fork–join over the custom spin barrier (paper §4.5).
+// single fork–join over the custom barrier (paper §4.5).
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -13,35 +14,30 @@
 namespace ondwin {
 
 /// A pool of `size()` logical threads: the caller's thread acts as thread 0
-/// and `size()-1` workers are spawned once and parked on the barrier. The
+/// and `size()-1` workers are spawned once and wait on the barrier. The
 /// main thread publishes a function pointer, everyone passes the barrier,
 /// executes `fn(thread_id)`, and meets at the barrier again — exactly the
-/// fork–join structure of the paper.
+/// fork–join structure of the paper. Workers idle between runs spin
+/// briefly, then park (SpinBarrier::kSpinBudget), so one pool can be
+/// lent to every conv step of a network (graph::Executor does).
 class ThreadPool {
  public:
-  /// `threads`: total participants including the caller. `pin`: bind
-  /// participant i to CPU `cpu_base + i` (ignored when that CPU does not
-  /// exist). `cpu_base` lets several pools partition the machine into
-  /// disjoint core ranges — serving engines construct pool k over CPUs
-  /// [k·T, (k+1)·T) so K engines coexist without oversubscription.
-  explicit ThreadPool(int threads, bool pin = false, int cpu_base = 0);
+  /// `threads`: total participants including the caller.
+  explicit ThreadPool(int threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const { return threads_; }
-  int cpu_base() const { return cpu_base_; }
-
-  /// CPU participant `tid` is bound to when the pool is pinned
-  /// (`cpu_base + tid`), or -1 when the pool floats. Feed the result to
-  /// mem::Topology::node_of_cpu() for NUMA-aware placement decisions.
-  int cpu_of(int tid) const { return pin_ ? cpu_base_ + tid : -1; }
 
   /// Runs `fn(tid)` for tid in [0, size()) across all participants and
-  /// returns once every call finished. Not reentrant: the barrier protocol
-  /// cannot nest, so a second run() from inside `fn` or from another
-  /// thread while one is in flight throws Error instead of deadlocking.
+  /// returns once every call finished. An exception thrown by `fn` on any
+  /// participant is caught there, the join still completes, and the
+  /// lowest-numbered participant's exception is rethrown on the caller —
+  /// the pool stays usable. Not reentrant: the barrier protocol cannot
+  /// nest, so a second run() from inside `fn` or from another thread
+  /// while one is in flight throws Error instead of deadlocking.
   void run(const std::function<void(int)>& fn);
 
   /// Persistent-task fork–join for fused execution: one fork, one join,
@@ -66,16 +62,14 @@ class ThreadPool {
   void worker_loop(int tid);
   void run_impl(const std::function<void(int)>& fn, const char* span_name);
   void timed_call(const std::function<void(int)>& fn, int tid);
-  static void pin_to_cpu(int cpu);
 
   const int threads_;
-  const bool pin_;
-  const int cpu_base_;
   SpinBarrier barrier_;
   const std::function<void(int)>* task_ = nullptr;  // valid between barriers
   bool stop_ = false;
   std::atomic<bool> running_{false};  // reentrancy/concurrent-run guard
   std::vector<double> task_seconds_;  // per-tid fn wall time of last run()
+  std::vector<std::exception_ptr> errors_;  // per-tid exception of run()
   std::vector<std::thread> workers_;
 };
 

@@ -31,7 +31,8 @@ void apply_epilogue_blocked(const ImageLayout& layout, float* data,
 }
 
 AutoConv::AutoConv(const ConvShape& shape, const SelectedConfig& config,
-                   const PlanOptions& options)
+                   const PlanOptions& options,
+                   std::shared_ptr<ThreadPool> pool)
     : shape_(shape),
       config_(config),
       in_layout_(shape.batch, shape.in_channels, shape.image),
@@ -56,11 +57,12 @@ AutoConv::AutoConv(const ConvShape& shape, const SelectedConfig& config,
       if (config_.precision != Precision::kFp32) {
         opts.precision = config_.precision;
       }
-      plan_ = std::make_unique<ConvPlan>(p, opts);
+      plan_ = std::make_unique<ConvPlan>(p, opts, std::move(pool));
       break;
     }
     case Algorithm::kDirect: {
-      direct_ = std::make_unique<DirectConvBlocked>(shape_, options.threads);
+      direct_ = std::make_unique<DirectConvBlocked>(shape_, options.threads,
+                                                    std::move(pool));
       const KernelLayout kl{shape_.in_channels, shape_.out_channels,
                             shape_.kernel};
       w_blocked_.reset(static_cast<std::size_t>(kl.total_floats()));
@@ -69,8 +71,8 @@ AutoConv::AutoConv(const ConvShape& shape, const SelectedConfig& config,
     case Algorithm::kFft: {
       // The selection's blocking (from wisdom or measurement) carries
       // straight into the engine; zeros fall through to its heuristics.
-      fft_ = std::make_unique<fftconv::FftConvPlan>(shape_, options,
-                                                    config_.blocking);
+      fft_ = std::make_unique<fftconv::FftConvPlan>(
+          shape_, options, config_.blocking, std::move(pool));
       break;
     }
   }

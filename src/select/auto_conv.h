@@ -45,8 +45,11 @@ void apply_epilogue_blocked(const ImageLayout& layout, float* data,
 
 class AutoConv {
  public:
+  /// `pool` is lent to the backend (see ConvPlan); null = the backend
+  /// builds its own of options.threads.
   AutoConv(const ConvShape& shape, const SelectedConfig& config,
-           const PlanOptions& options = {});
+           const PlanOptions& options = {},
+           std::shared_ptr<ThreadPool> pool = nullptr);
   ~AutoConv();
 
   AutoConv(const AutoConv&) = delete;

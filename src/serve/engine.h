@@ -3,10 +3,10 @@
 // the right per-batch-size replica, and fulfills the request futures.
 //
 // The dispatcher thread itself does no numeric work beyond the staging
-// copies — execution happens inside the replica's ThreadPool (the plan's
-// fork–join workers), which on a pinned server lives on this engine's
-// private CPU range. Several engines with identical options share
-// replicas and take turns via the replica's execution mutex.
+// copies — execution happens inside the replica's ThreadPool (the
+// executor's fork–join workers, shared by all its conv steps). Several
+// engines with identical options share replicas and take turns via the
+// replica's execution mutex.
 #pragma once
 
 #include <thread>
@@ -18,7 +18,7 @@ namespace ondwin::serve {
 class Engine {
  public:
   /// `plan_options` are the fully resolved options of this engine
-  /// (threads, pinning range); `index` is a server-wide engine ordinal
+  /// (threads, precision); `index` is a server-wide engine ordinal
   /// used for diagnostics.
   Engine(Model& model, const PlanOptions& plan_options, int index);
   ~Engine();

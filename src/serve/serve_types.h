@@ -50,31 +50,25 @@ struct ModelConfig {
 
   /// Dedicated worker engines draining this model's queue. Engines with
   /// identical plan options share execution replicas (each is compiled
-  /// once, executions serialize); pinned engines get disjoint CPU ranges
-  /// and execute truly concurrently.
+  /// once, executions serialize).
   int engines = 1;
 
   /// Plan knobs shared by every replica (JIT switches, wisdom, blocking
   /// overrides). `plan.threads` is the per-engine thread count (0 = an
-  /// even share of the server's CPU budget); `plan.pin_threads`/
-  /// `plan.cpu_base` are assigned by the server when CPU pinning is on.
-  /// `plan.precision` selects reduced (bf16/fp16) storage for the conv
-  /// intermediates — the ONDWIN_PREC environment variable overrides it
-  /// at engine launch, and distinct precisions never share a replica or
-  /// a transformed-kernel bank.
+  /// even share of the server's CPU budget); each replica runs its conv
+  /// steps on one pool of that many threads. `plan.precision` selects
+  /// reduced (bf16/fp16) storage for the conv intermediates — the
+  /// ONDWIN_PREC environment variable overrides it at engine launch, and
+  /// distinct precisions never share a replica or a transformed-kernel
+  /// bank.
   PlanOptions plan;
 };
 
 /// Server-wide configuration.
 struct ServerOptions {
-  /// Give every engine a disjoint CPU range (engine k of T threads pins
-  /// to CPUs [cpu_begin + k·T, cpu_begin + (k+1)·T)).
-  bool pin_engines = false;
-
-  /// First CPU and CPU count of the server's budget (0 = all hardware
-  /// threads). The budget is divided evenly among a model's engines when
+  /// CPU count of the server's budget (0 = all hardware threads). The
+  /// budget is divided evenly among a model's engines when
   /// `ModelConfig::plan.threads` is 0.
-  int cpu_begin = 0;
   int cpu_count = 0;
 
   /// Opt-in debug/metrics HTTP endpoint (obs::HttpExporter): -1 (the

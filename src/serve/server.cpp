@@ -16,10 +16,7 @@ namespace ondwin::serve {
 InferenceServer::InferenceServer(const ServerOptions& options)
     : options_(options),
       cpu_budget_(options.cpu_count > 0 ? options.cpu_count
-                                        : hardware_threads()),
-      next_cpu_(options.cpu_begin) {
-  ONDWIN_CHECK(options_.cpu_begin >= 0, "cpu_begin must be >= 0, got ",
-               options_.cpu_begin);
+                                        : hardware_threads()) {
   ONDWIN_CHECK(options_.cpu_count >= 0, "cpu_count must be >= 0, got ",
                options_.cpu_count);
   if (options_.http_port >= 0) {
@@ -69,11 +66,6 @@ void InferenceServer::add_model(std::unique_ptr<Model> model) {
     // replica key carries the effective precision.
     precision_env_override(&po.precision);
     if (po.threads <= 0) po.threads = share;
-    if (options_.pin_engines) {
-      po.pin_threads = true;
-      po.cpu_base = next_cpu_;
-      next_cpu_ += po.threads;
-    }
     auto engine = std::make_unique<Engine>(
         *model, po, static_cast<int>(engines_.size()));
     engine->start();

@@ -145,7 +145,6 @@ class InferenceServer {
   mutable std::mutex mu_;  // guards the registry and shutdown state
   std::map<std::string, std::unique_ptr<Model>> models_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  int next_cpu_ = 0;
   bool shut_down_ = false;
 
   // Completion barrier for stop(): accepted requests in whose Completion

@@ -1,10 +1,8 @@
-// Tests for the engine extensions: fused epilogues (bias / ReLU) and the
-// backward-data pass.
+// Tests for the engine extensions: fused epilogues (bias / ReLU).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/backward.h"
 #include "core/conv_plan.h"
 #include "util/rng.h"
 
@@ -132,119 +130,6 @@ TEST(Epilogue, Works3D) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], std::max(ref[i], 0.0f), 1e-3f);
   }
-}
-
-// ----------------------------------------------------- backward data ------
-
-// Reference input gradient: gx[b,c,i] = Σ_{c',k} gy[b,c',i + p − k]·w[c',c,k]
-std::vector<float> backward_data_reference(const ConvShape& s,
-                                           const std::vector<float>& gy,
-                                           const std::vector<float>& w) {
-  const Dims out = s.output();
-  const i64 opx = out.product();
-  const i64 ipx = s.image.product();
-  const i64 taps = s.kernel.product();
-  const int rank = s.image.rank();
-  std::vector<float> gx(static_cast<std::size_t>(s.input_floats()), 0.0f);
-
-  for (i64 b = 0; b < s.batch; ++b) {
-    for (i64 cp = 0; cp < s.out_channels; ++cp) {
-      for (i64 o = 0; o < opx; ++o) {
-        const Dims oc = out.coord_of(o);
-        const float g =
-            gy[static_cast<std::size_t>((b * s.out_channels + cp) * opx + o)];
-        for (i64 c = 0; c < s.in_channels; ++c) {
-          const float* ker =
-              w.data() + (cp * s.in_channels + c) * taps;
-          for (i64 k = 0; k < taps; ++k) {
-            const Dims kc = s.kernel.coord_of(k);
-            Dims ic = oc;
-            bool inside = true;
-            for (int d = 0; d < rank; ++d) {
-              ic[d] = oc[d] + kc[d] - s.padding[d];
-              if (ic[d] < 0 || ic[d] >= s.image[d]) {
-                inside = false;
-                break;
-              }
-            }
-            if (!inside) continue;
-            gx[static_cast<std::size_t>((b * s.in_channels + c) * ipx +
-                                        s.image.offset_of(ic))] +=
-                g * ker[k];
-          }
-        }
-      }
-    }
-  }
-  return gx;
-}
-
-struct BackwardCase {
-  ConvProblem fwd;
-};
-
-class BackwardData : public ::testing::TestWithParam<BackwardCase> {};
-
-TEST_P(BackwardData, MatchesReferenceGradient) {
-  const ConvProblem fwd = GetParam().fwd;
-  const ConvProblem bwd = backward_data_problem(fwd);
-  ASSERT_EQ(bwd.shape.output(), fwd.shape.image);
-
-  Rng rng(11);
-  std::vector<float> gy(static_cast<std::size_t>(
-      fwd.shape.batch * fwd.shape.out_channels *
-      fwd.shape.output().product()));
-  std::vector<float> w(static_cast<std::size_t>(fwd.shape.weight_floats()));
-  for (auto& v : gy) v = rng.uniform(-0.5f, 0.5f);
-  for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
-
-  const auto gx_ref = backward_data_reference(fwd.shape, gy, w);
-
-  // Blocked forward kernels → blocked backward kernels.
-  AlignedBuffer<float> w_fwd_b(
-      static_cast<std::size_t>(fwd.kernel_layout().total_floats()));
-  AlignedBuffer<float> w_bwd_b(
-      static_cast<std::size_t>(bwd.kernel_layout().total_floats()));
-  pack_kernels(w.data(), w_fwd_b.data(), fwd.kernel_layout());
-  make_backward_kernels(fwd, w_fwd_b.data(), w_bwd_b.data());
-
-  AlignedBuffer<float> gy_b(
-      static_cast<std::size_t>(bwd.input_layout().total_floats()));
-  AlignedBuffer<float> gx_b(
-      static_cast<std::size_t>(bwd.output_layout().total_floats()));
-  pack_image(gy.data(), gy_b.data(), bwd.input_layout());
-
-  PlanOptions o;
-  o.threads = 2;
-  ConvPlan plan(bwd, o);
-  plan.execute(gy_b.data(), w_bwd_b.data(), gx_b.data());
-
-  std::vector<float> gx(gx_ref.size());
-  unpack_image(gx_b.data(), gx.data(), bwd.output_layout());
-  double max_err = 0;
-  for (std::size_t i = 0; i < gx.size(); ++i) {
-    max_err = std::max(max_err,
-                       static_cast<double>(std::abs(gx[i] - gx_ref[i])));
-  }
-  EXPECT_LT(max_err, 2e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, BackwardData,
-    ::testing::Values(
-        BackwardCase{make_problem(1, 16, 16, {8, 8}, {3, 3}, {1, 1}, {2, 2})},
-        BackwardCase{make_problem(2, 16, 32, {9, 7}, {3, 3}, {1, 1}, {2, 2})},
-        BackwardCase{make_problem(1, 32, 16, {10, 10}, {3, 3}, {0, 0},
-                                  {4, 4})},
-        BackwardCase{make_problem(1, 16, 16, {12}, {5}, {2}, {2})},
-        BackwardCase{make_problem(1, 16, 16, {5, 6, 6}, {3, 3, 3}, {1, 1, 1},
-                                  {2, 2, 2})}));
-
-TEST(BackwardData, RejectsOverPadding) {
-  // p > r-1 has no valid backward expression in this form.
-  const ConvProblem fwd =
-      make_problem(1, 16, 16, {8, 8}, {3, 3}, {3, 3}, {2, 2});
-  EXPECT_THROW(backward_data_problem(fwd), Error);
 }
 
 }  // namespace

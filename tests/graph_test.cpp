@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/executor.h"
@@ -456,6 +458,41 @@ TEST(GraphExecutor, BlockingOverridesMatchExplicitPlanOptions) {
   ref.execute_pretransformed(in.data(), want.data());
   exec.execute(in.data(), got.data());
   EXPECT_EQ(std::memcmp(got.data(), want.data(), sout * sizeof(float)), 0);
+}
+
+/// The kernel's thread count of this process (/proc/self/status), or -1.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(GraphExecutor, ExecutorSharesOnePool) {
+  // Every conv step forks and joins the executor's one pool: four conv
+  // steps at three threads add two workers to the process, not 4 x 2.
+  Graph g(1, 16, {12, 12});
+  ValueId v = g.input();
+  for (int i = 0; i < 4; ++i) v = g.conv(v, 16, {3, 3}, {1, 1}, Dims{4, 4});
+  g.mark_output(v);
+  const std::size_t sin =
+      static_cast<std::size_t>(g.input_layout().total_floats());
+  const std::size_t sout =
+      static_cast<std::size_t>(g.output_layout().total_floats());
+
+  CompileOptions copts;
+  copts.plan.threads = 3;
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  Executor exec(std::move(g), copts);
+  EXPECT_EQ(exec.step_count(), 4u);
+  EXPECT_EQ(process_threads() - before, 2);
+
+  AlignedBuffer<float> in, out(sout);
+  fill_random(in, sin, 0x9001);
+  exec.execute(in.data(), out.data());
+  EXPECT_EQ(process_threads() - before, 2);
 }
 
 // ------------------------------------------------------- mixed backends

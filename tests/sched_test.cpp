@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "sched/barrier.h"
 #include "sched/static_schedule.h"
 #include "sched/thread_pool.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace ondwin {
 namespace {
@@ -49,6 +55,52 @@ TEST(SpinBarrier, SynchronizesPhases) {
   for (auto& t : ts) t.join();
   EXPECT_FALSE(violated.load());
   EXPECT_EQ(counter.load(), kThreads * kPhases);
+}
+
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto sec = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
+
+TEST(SpinBarrier, SynchronizesPhasesAcrossParks) {
+  // One participant per phase sleeps well past the spin budget, so the
+  // others park in the kernel: every phase must still see all
+  // increments, a parked waiter must be woken by the last arrival, and
+  // the waiting must not burn the three waiters' cores (~3x the wall
+  // time if they spun throughout).
+  constexpr int kThreads = 4;
+  constexpr int kPhases = 6;
+  SpinBarrier barrier(kThreads);
+  std::atomic<int> counter{0};
+  std::atomic<bool> violated{false};
+
+  auto body = [&](int id) {
+    for (int p = 0; p < kPhases; ++p) {
+      if (p % kThreads == id) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+      }
+      counter.fetch_add(1, std::memory_order_relaxed);
+      barrier.wait();
+      if (counter.load(std::memory_order_relaxed) != (p + 1) * kThreads) {
+        violated.store(true);
+      }
+      barrier.wait();
+    }
+  };
+  const double cpu0 = process_cpu_seconds();
+  Timer wall;
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kThreads; ++i) ts.emplace_back(body, i);
+  for (auto& t : ts) t.join();
+  const double wall_s = wall.seconds();
+  EXPECT_FALSE(violated.load());
+  EXPECT_EQ(counter.load(), kThreads * kPhases);
+  EXPECT_LT(process_cpu_seconds() - cpu0, 0.5 * wall_s);
 }
 
 // ---------------------------------------------------------- thread pool ----
@@ -98,10 +150,42 @@ TEST(ThreadPool, NestedRunThrowsInsteadOfDeadlocking) {
   EXPECT_EQ(hits.load(), 1);
 }
 
-TEST(ThreadPool, CpuBaseIsRecorded) {
-  ThreadPool pool(2, /*pin=*/false, /*cpu_base=*/0);
-  EXPECT_EQ(pool.cpu_base(), 0);
-  EXPECT_THROW(ThreadPool(2, false, -1), Error);
+TEST(ThreadPool, IdleWorkersPark) {
+  // After a run, idle workers spin for the barrier's budget and then sleep
+  // in the kernel: a 4-thread pool left alone for 200 ms costs the
+  // process far less than 3 spinning cores' worth of CPU (~600 ms).
+  ThreadPool pool(4);
+  std::atomic<int> hits{0};
+  pool.run([&](int) { hits.fetch_add(1); });
+  ASSERT_EQ(hits.load(), 4);
+  const double cpu0 = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(process_cpu_seconds() - cpu0, 0.050);
+  // Parked workers wake for the next run.
+  pool.run([&](int) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 8);
+}
+
+TEST(ThreadPool, ExceptionReachesCallerAndPoolSurvives) {
+  // A throw on the caller's participant (tid 0) or on a worker (tid 2)
+  // must not strand the join, escape a worker thread, or leave the pool
+  // marked running: the caller gets the Error, the next run() is whole,
+  // and the destructor returns.
+  for (const int thrower : {0, 2}) {
+    auto pool = std::make_unique<ThreadPool>(3);
+    std::atomic<int> finished{0};
+    EXPECT_THROW(pool->run([&](int tid) {
+                   if (tid == thrower) throw Error("boom");
+                   finished.fetch_add(1);
+                 }),
+                 Error)
+        << "thrower " << thrower;
+    EXPECT_EQ(finished.load(), 2) << "the other participants still ran";
+    std::vector<std::atomic<int>> hits(3);
+    pool->run([&](int tid) { hits[static_cast<std::size_t>(tid)]++; });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "thrower " << thrower;
+    pool.reset();  // must return: every worker is back at the fork
+  }
 }
 
 // ------------------------------------------------------ static schedule ----
