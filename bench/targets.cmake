@@ -15,7 +15,10 @@ endforeach()
 # Smoke check: the obs tracer must cost <2% on a Fig. 5 layer even when
 # enabled (see bench_fig5_layers.cpp). Labeled `obs` — a timing assertion,
 # excluded from the sanitizer presets where instrumentation slows
-# everything by design.
+# everything by design (the tsan preset runs only the `tsan` label, the
+# asan preset excludes it by name), and RUN_SERIAL so a parallel
+# `ctest -j` never times it while other suites share its cores.
 add_test(NAME obs_overhead_smoke
   COMMAND bench_fig5_layers --obs-overhead)
-set_tests_properties(obs_overhead_smoke PROPERTIES LABELS "obs" TIMEOUT 300)
+set_tests_properties(obs_overhead_smoke PROPERTIES LABELS "obs" TIMEOUT 300
+  RUN_SERIAL TRUE)

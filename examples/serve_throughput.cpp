@@ -4,8 +4,9 @@
 //   build/example_serve_throughput [clients] [requests_per_client]
 //
 // Each client thread submits single-sample requests; the server coalesces
-// them into micro-batches (flush on batch-full or a 2 ms deadline) and
-// answers through futures. The stats snapshot at the end shows how well
+// them into micro-batches (an idle engine takes the queue once it is full,
+// once no request has arrived for 0.5 ms, or once the oldest has waited
+// 2 ms) and answers through futures. The stats snapshot at the end shows how well
 // the batcher did (mean batch size, latency percentiles, rejections), and
 // the same numbers are dumped in Prometheus exposition format — exactly
 // what a /metrics scrape endpoint would serve.

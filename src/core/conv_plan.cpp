@@ -978,22 +978,31 @@ void ConvPlan::kernel_transform_task(int tid, i64 c, i64 g,
 void ConvPlan::stage_gemm() {
   pool_->run([&](int tid) {
     ONDWIN_TRACE_SPAN("gemm");
-    for_each_in_box(sched_gemm_[static_cast<std::size_t>(tid)],
-                    [&](const std::array<i64, kMaxGridRank>& c) {
-                      gemm_task(tid, c[0], c[1], c[2],
-                                sched_gemm_[static_cast<std::size_t>(tid)]
-                                    .end[2]);
-                    });
+    const GridBox& box = sched_gemm_[static_cast<std::size_t>(tid)];
+    for_each_in_box(box, [&](const std::array<i64, kMaxGridRank>& c) {
+      gemm_task(tid, box, c[0], c[1], c[2]);
+    });
     streaming_fence();
   });
 }
 
-void ConvPlan::gemm_task(int tid, i64 t, i64 j, i64 i, i64 i_end) {
+void ConvPlan::gemm_task(int tid, const GridBox& box, i64 t, i64 j, i64 i) {
   ThreadScratch& sc = *scratch_[static_cast<std::size_t>(tid)];
   const i64 u_blk = static_cast<i64>(blocking_.n_blk) * blocking_.c_blk;
   const i64 v_blk = static_cast<i64>(blocking_.c_blk) * blocking_.cp_blk;
   const i64 x_blk = static_cast<i64>(blocking_.n_blk) * blocking_.cp_blk;
-  const i64 inext = (i + 1 < i_end) ? i + 1 : i;
+  const i64 inext = (i + 1 < box.end[2]) ? i + 1 : i;
+  // The (t, j) of this thread's next task in box order (t → j → i): its
+  // first V̂ is what the last k step prefetches.
+  i64 t_next = t, j_next = j;
+  if (inext == i) {
+    if (j + 1 < box.end[1]) {
+      j_next = j + 1;
+    } else if (t + 1 < box.end[0]) {
+      t_next = t + 1;
+      j_next = box.begin[1];
+    }
+  }
   const bool have_itmp = !buf_itmp_.empty();
   // Û/W/I' are u16 under a reduced precision: offsets stay in elements of
   // the storage format, scaled to bytes here (X̂/I'_tmp are always fp32).
@@ -1024,6 +1033,10 @@ void ConvPlan::gemm_task(int tid, i64 t, i64 j, i64 i, i64 i_end) {
         u_base + ((i * kb_ + k) * t_elems_ + t) * u_blk * esz);
     args.v = reinterpret_cast<const float*>(
         v_base + ((k * jb_ + j) * t_elems_ + t) * v_blk * esz);
+    args.v_next = reinterpret_cast<const float*>(
+        v_base + (k + 1 < kb_ ? ((k + 1) * jb_ + j) * t_elems_ + t
+                              : j_next * t_elems_ + t_next) *
+                     v_blk * esz);
     args.x = have_itmp
                  ? buf_itmp_.data() + ((i * jb_ + j) * t_elems_ + t) * x_blk
                  : sc.dump.data();

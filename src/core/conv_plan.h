@@ -267,7 +267,7 @@ class ConvPlan {
                             const std::array<i64, kMaxGridRank>& tile_coord,
                             const float* input, float* i_buf, i64 iblk_base);
   void kernel_transform_task(int tid, i64 c, i64 g, const float* kernels);
-  void gemm_task(int tid, i64 t, i64 j, i64 i, i64 i_end);
+  void gemm_task(int tid, const GridBox& box, i64 t, i64 j, i64 i);
   void inverse_transform_task(int tid, i64 np, i64 g, const float* iout_buf,
                               i64 np_base, float* output,
                               const Epilogue& epilogue);

@@ -389,40 +389,54 @@ void FftConvPlan::gemm_task(int tid, int threads) {
   float* x_im = x_re + plane_x_;
   const float* v_re = v_->data();
   const float* v_im = v_re + bins_ * C * Cp;
+  // The blocks of chain step k of `pass` in bin f. The X_re chain (pass 0)
+  // is U_re·V_re then (−U_im)·V_im, the X_im chain U_re·V_im then
+  // U_im·V_re: each is one accumulation chain of 2·kb steps with the
+  // final store streaming.
+  const auto u_at = [&](i64 f, i64 i, int pass, int k) {
+    const bool first_half = k < static_cast<int>(kb_);
+    const i64 kk = first_half ? k : k - kb_;
+    const float* plane = first_half ? u_re : pass == 0 ? u_imneg : u_im;
+    return plane + f * u_bin + (i * kb_ + kk) * n_blk * c_blk;
+  };
+  const auto v_at = [&](i64 f, i64 j, int pass, int k) {
+    const bool first_half = k < static_cast<int>(kb_);
+    const i64 kk = first_half ? k : k - kb_;
+    return ((pass == 0) == first_half ? v_re : v_im) + f * v_bin +
+           (kk * jb_ + j) * c_blk * cp_blk;
+  };
+  const auto x_at = [&](i64 f, i64 i, i64 j, int pass) {
+    return (pass == 0 ? x_re : x_im) + f * x_bin +
+           (i * jb_ + j) * n_blk * cp_blk;
+  };
 
   for (i64 f = tid; f < bins_; f += threads) {
-    const float* bu_re = u_re + f * u_bin;
-    const float* bu_im = u_im + f * u_bin;
-    const float* bu_ng = u_imneg + f * u_bin;
-    const float* bv_re = v_re + f * v_bin;
-    const float* bv_im = v_im + f * v_bin;
-    float* bx_re = x_re + f * x_bin;
-    float* bx_im = x_im + f * x_bin;
     for (i64 j = 0; j < jb_; ++j) {
       for (i64 i = 0; i < row_blocks; ++i) {
-        // X_re chain: U_re·V_re then (−U_im)·V_im; X_im chain:
-        // U_re·V_im then U_im·V_re. Each is one accumulation chain of
-        // 2·kb steps with the final store streaming.
+        const i64 inext = (i + 1 < row_blocks) ? i + 1 : i;
         for (int pass = 0; pass < 2; ++pass) {
-          const float* ua = bu_re;
-          const float* ub = pass == 0 ? bu_ng : bu_im;
-          const float* va = pass == 0 ? bv_re : bv_im;
-          const float* vb = pass == 0 ? bv_im : bv_re;
-          float* x = (pass == 0 ? bx_re : bx_im) +
-                     (i * jb_ + j) * n_blk * cp_blk;
           for (int k = 0; k < k_count; ++k) {
-            const i64 kk = k < static_cast<int>(kb_) ? k : k - kb_;
-            const float* u =
-                (k < static_cast<int>(kb_) ? ua : ub) +
-                (i * kb_ + kk) * n_blk * c_blk;
-            const float* v = (k < static_cast<int>(kb_) ? va : vb) +
-                             (kk * jb_ + j) * c_blk * cp_blk;
             MicrokernelArgs args;
-            args.u = u;
-            args.v = v;
-            args.x = x;
-            args.u_next = u;
-            args.x_next = x;
+            args.u = u_at(f, i, pass, k);
+            args.v = v_at(f, j, pass, k);
+            args.x = x_at(f, i, j, pass);
+            args.u_next = u_at(f, inext, pass, k);
+            args.x_next = x_at(f, inext, j, pass);
+            // The next call's V̂: the chain's next step, the X_im chain's
+            // first, or the first of the next row block, column block or
+            // bin of this thread.
+            if (k + 1 < k_count) {
+              args.v_next = v_at(f, j, pass, k + 1);
+            } else if (pass == 0) {
+              args.v_next = v_at(f, j, 1, 0);
+            } else if (i + 1 < row_blocks) {
+              args.v_next = v_at(f, j, 0, 0);
+            } else if (j + 1 < jb_) {
+              args.v_next = v_at(f, j + 1, 0, 0);
+            } else {
+              args.v_next =
+                  v_at(f + threads < bins_ ? f + threads : f, 0, 0, 0);
+            }
             kernels_->run_step(k, k_count, args);
           }
         }

@@ -61,18 +61,30 @@ void BlockedGemm::run(const float* u, const float* v, float* x) const {
   const char* ub = reinterpret_cast<const char*>(u);
   const char* vbytes = reinterpret_cast<const char*>(v);
 
+  const auto v_at = [&](i64 k, i64 j) {
+    return reinterpret_cast<const float*>(
+        vbytes + (k * s.col_blocks() + j) * v_blk * in_bytes);
+  };
+
   // j outer, k middle, i inner: every Û_{i,k} streams past a V̂_{k,j} that
   // stays hot in L2 (the "batched multiplications with the same V̂").
   for (i64 j = 0; j < s.col_blocks(); ++j) {
     for (i64 k = 0; k < kb; ++k) {
-      const auto* vb = reinterpret_cast<const float*>(
-          vbytes + (k * s.col_blocks() + j) * v_blk * in_bytes);
+      const float* vb = v_at(k, j);
+      // The V̂ of the (k, j) step after this one, read once i wraps.
+      const float* v_following = vb;
+      if (k + 1 < kb) {
+        v_following = v_at(k + 1, j);
+      } else if (j + 1 < s.col_blocks()) {
+        v_following = v_at(0, j + 1);
+      }
       for (i64 i = 0; i < s.row_blocks(); ++i) {
         MicrokernelArgs args;
         args.u = reinterpret_cast<const float*>(ub +
                                                 (i * kb + k) * u_blk *
                                                     in_bytes);
         args.v = vb;
+        args.v_next = i + 1 < s.row_blocks() ? vb : v_following;
         args.x = x + (i * s.col_blocks() + j) * x_blk;
         const i64 inext = (i + 1 < s.row_blocks()) ? i + 1 : i;
         args.u_next = reinterpret_cast<const float*>(
@@ -136,6 +148,18 @@ void FusedBlockGemm::run(i64 row_blocks, const float* u_panel,
           }
         }
         const i64 inext = (i + 1 < row_blocks) ? i + 1 : i;
+        // The (j, t) the call after this row block's last k step reads:
+        // the same one for the next row block, else the next in j → t
+        // order (wrapping to the next tile block's first).
+        i64 j_next = j, t_next = t;
+        if (inext == i) {
+          if (j + 1 < jb_) {
+            j_next = j + 1;
+          } else {
+            j_next = 0;
+            t_next = t + 1 < t_elems_ ? t + 1 : 0;
+          }
+        }
         args.x = x_accum;
         args.x_next = x_accum;
         for (i64 k = 0; k < kb_; ++k) {
@@ -143,6 +167,10 @@ void FusedBlockGemm::run(i64 row_blocks, const float* u_panel,
               ub + ((i * kb_ + k) * t_elems_ + t) * u_blk * in_bytes);
           args.v = reinterpret_cast<const float*>(
               wb + ((k * jb_ + j) * t_elems_ + t) * v_blk * in_bytes);
+          args.v_next = reinterpret_cast<const float*>(
+              wb + (k + 1 < kb_ ? ((k + 1) * jb_ + j) * t_elems_ + t
+                                : j_next * t_elems_ + t_next) *
+                       v_blk * in_bytes);
           args.u_next = reinterpret_cast<const float*>(
               ub + ((inext * kb_ + k) * t_elems_ + t) * u_blk * in_bytes);
           kernels_.run_step(static_cast<int>(k), static_cast<int>(kb_),

@@ -75,6 +75,8 @@ constexpr i32 kOffUNext = 24;
 constexpr i32 kOffXNext = 32;
 constexpr i32 kOffScatterRows = 40;
 constexpr i32 kOffScatterStride = 48;
+constexpr i32 kOffVNext = 56;
+constexpr i32 kLine = 64;  // cache-line bytes
 static_assert(offsetof(MicrokernelArgs, u) == kOffU);
 static_assert(offsetof(MicrokernelArgs, v) == kOffV);
 static_assert(offsetof(MicrokernelArgs, x) == kOffX);
@@ -83,6 +85,7 @@ static_assert(offsetof(MicrokernelArgs, x_next) == kOffXNext);
 static_assert(offsetof(MicrokernelArgs, scatter_rows) == kOffScatterRows);
 static_assert(offsetof(MicrokernelArgs, scatter_col_stride_bytes) ==
               kOffScatterStride);
+static_assert(offsetof(MicrokernelArgs, v_next) == kOffVNext);
 
 // Register allocation (SysV AMD64):
 //   rdi: args            rsi: Û base           rdx: V̂ q-cursor
@@ -90,6 +93,7 @@ static_assert(offsetof(MicrokernelArgs, scatter_col_stride_bytes) ==
 //   r8:  next-Û hint     r9:  next-X̂ hint      r10: q counter
 //   r11: chunk counter   r12: scatter row tbl  r13: scatter col stride
 //   r14: scatter scratch r15: q·col-stride
+//   rdi: next-V̂ line cursor once the args are read
 // zmm0..zmm(n_blk-1): X̂ accumulators; zmm30/zmm31: V̂ row double-buffer;
 // zmm29: fp16 broadcast-widen scratch (in_prec == kFp16 only).
 //
@@ -127,6 +131,7 @@ class KernelBuilder {
       a_.mov(Gp::r13, addr(Gp::rdi, kOffScatterStride));
       a_.mov_imm(Gp::r15, 0);
     }
+    a_.mov(Gp::rdi, addr(Gp::rdi, kOffVNext));
 
     const int q_count = spec_.cp_blk / kS;
     a_.mov_imm(Gp::r10, static_cast<u64>(q_count));
@@ -138,6 +143,10 @@ class KernelBuilder {
     // columns are words.
     a_.add(Gp::rcx, kS * 4);
     a_.add(Gp::rdx, spec_.in_prec == Precision::kFp16 ? kS * 2 : kS * 4);
+    // The next Û block's share of this q, and the next X̂ block's lines
+    // under the following S columns.
+    a_.add(Gp::r8, u_next_lines_per_q() * kLine);
+    a_.add(Gp::r9, kS * 4);
     if (scatter) a_.add(Gp::r15, Gp::r13);
     a_.dec(Gp::r10);
     a_.jnz(q_loop);
@@ -192,10 +201,12 @@ class KernelBuilder {
       emit_chunk(/*final=*/false);
       a_.add(Gp::rax, kS * in_bytes);  // next 16 columns of Û
       a_.add(Gp::rbx, v_chunk_bytes);  // next 16 k-steps of V̂
+      a_.add(Gp::rdi, v_next_chunk_bytes());
       a_.dec(Gp::r11);
       a_.jnz(chunk_loop);
     }
     emit_chunk(/*final=*/true);
+    a_.add(Gp::rdi, v_next_chunk_bytes());
 
     emit_stores();
   }
@@ -225,6 +236,7 @@ class KernelBuilder {
         // exactly what the next loop iteration consumes.
         a_.vmovups(Zmm(cur ^ 1), addr(Gp::rbx, (i + 1) * v_row_bytes));
       }
+      emit_v_next_prefetch(i);
       if (!final) {
         // Warm L1 for the next chunk: its V̂ row i and Û rows i / i+16.
         a_.prefetch(0, addr(Gp::rbx, (kS + i + 1) * v_row_bytes));
@@ -256,6 +268,7 @@ class KernelBuilder {
         // At p == 7 this reads pair row 8 — the next chunk's first pair.
         a_.vmovups(Zmm(cur ^ 1), addr(Gp::rbx, (p + 1) * v_pair_bytes));
       }
+      emit_v_next_prefetch(p);
       if (!final) {
         a_.prefetch(0, addr(Gp::rbx, (pairs + p + 1) * v_pair_bytes));
         if (2 * p < n) {
@@ -287,6 +300,8 @@ class KernelBuilder {
       if (preload) {
         a_.vcvtph2ps(Zmm(cur ^ 1), addr(Gp::rbx, (i + 1) * v_row_bytes));
       }
+      // A fp16 chunk's 16 rows span 8 lines: one prefetch per row pair.
+      if (i % 2 == 0) emit_v_next_prefetch(i / 2);
       if (!final) {
         a_.prefetch(0, addr(Gp::rbx, (kS + i + 1) * v_row_bytes));
         if (i < n) a_.prefetch(0, addr(Gp::rax, (i * spec_.c_blk + kS) * 2));
@@ -303,13 +318,37 @@ class KernelBuilder {
     }
   }
 
-  // Store accumulators; while storing, prefetch the rows of the next Û and
-  // X̂ blocks into L2 (paper: "pre-fetch the data from the same locations
-  // in next two matrices to be multiplied").
+  // Bytes of the next V̂ block each chunk prefetches: a call runs
+  // (c_blk/16)·(cp_blk/16) chunks over a c_blk × cp_blk block, so a chunk
+  // covers 256 elements — 16 lines of fp32 (one per i-iteration), 8 of
+  // bf16 (one per pair iteration) or 8 of fp16 (one per two rows).
+  i32 v_next_chunk_bytes() const {
+    return kS * kS * static_cast<i32>(precision_bytes(spec_.in_prec));
+  }
+
+  // One L2 prefetch of the next V̂ block, line `line` of this chunk's
+  // share (rdi advances by a chunk's share after each chunk).
+  void emit_v_next_prefetch(int line) {
+    a_.prefetch(1, addr(Gp::rdi, line * kLine));
+  }
+
+  // Lines of the next Û block (n_blk × c_blk, contiguous) each q
+  // iteration prefetches, so the cp_blk/16 iterations cover all of it.
+  i32 u_next_lines_per_q() const {
+    const i64 bytes = static_cast<i64>(spec_.n_blk) * spec_.c_blk *
+                      precision_bytes(spec_.in_prec);
+    const i64 q_count = spec_.cp_blk / kS;
+    return static_cast<i32>(ceil_div(ceil_div(bytes, i64{kLine}), q_count));
+  }
+
+  // Store accumulators; while storing, prefetch the next Û and X̂ blocks
+  // into L2 (paper: "pre-fetch the data from the same locations in next
+  // two matrices to be multiplied"). r8 walks the next Û block a share
+  // per q; r9 follows the X̂ columns this q stores.
   void emit_stores() {
     const int n = spec_.n_blk;
     const i32 x_row_bytes = spec_.cp_blk * 4;
-    const i32 in_bytes = static_cast<i32>(precision_bytes(spec_.in_prec));
+    const int u_lines = u_next_lines_per_q();
     for (int j = 0; j < n; ++j) {
       switch (spec_.store) {
         case StoreMode::kAccumulate:
@@ -340,7 +379,10 @@ class KernelBuilder {
           }
           break;
       }
-      a_.prefetch(1, addr(Gp::r8, j * spec_.c_blk * in_bytes));
+      // Spread the Û share evenly over the row stores.
+      for (int l = j * u_lines / n; l < (j + 1) * u_lines / n; ++l) {
+        a_.prefetch(1, addr(Gp::r8, l * kLine));
+      }
       a_.prefetch(1, addr(Gp::r9, j * x_row_bytes));
     }
   }

@@ -12,7 +12,11 @@
 //    `vfmadd231ps acc_j, v_row, Û[j][i]{1to16}`, with the (i+1)-th V̂ row
 //    loaded one iteration ahead and software prefetches of the next Û/V̂
 //    chunks interleaved between FMAs;
-//  * when storing, rows of the *next* Û and X̂ blocks are prefetched to L2;
+//  * while storing, the *next* Û block is prefetched to L2, spread evenly
+//    over the q iterations, together with the next X̂ block's lines of the
+//    columns just stored;
+//  * each i-iteration prefetches one line of the next V̂ block to L2 — a
+//    V̂ block has exactly one line per i-iteration of a call;
 //  * the final-k variant scatters rows directly to their stage-3 locations
 //    with non-temporal streaming stores instead of writing X̂ back.
 #pragma once
@@ -64,8 +68,9 @@ struct MicrokernelSpec {
 };
 
 /// Argument block passed to a generated kernel (single pointer in rdi).
-/// All pointers must be non-null; u_next/x_next are prefetch hints and may
-/// simply repeat u/x when there is no next block.
+/// u_next/x_next/v_next are prefetch hints for the blocks a following call
+/// reads (they may simply repeat u/x/v when there is none). All pointers
+/// must be non-null.
 ///
 /// With a reduced `in_prec`, `u` and `v` alias u16 storage (bf16/fp16
 /// words; reinterpret_cast at the call boundary) — the field types stay
@@ -82,6 +87,7 @@ struct MicrokernelArgs {
   // the byte stride between consecutive S-column groups of one row.
   float* const* scatter_rows = nullptr;
   i64 scatter_col_stride_bytes = 0;
+  const float* v_next = nullptr;
 };
 
 using MicrokernelFn = void (*)(const MicrokernelArgs*);

@@ -1,5 +1,7 @@
 #include "serve/batcher.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 
 namespace ondwin::serve {
@@ -13,7 +15,10 @@ Clock::duration delay_of(const BatchPolicy& p) {
 }
 }  // namespace
 
-Batcher::Batcher(const BatchPolicy& policy) : policy_(policy) {
+Batcher::Batcher(const BatchPolicy& policy)
+    : policy_(policy),
+      max_delay_(delay_of(policy)),
+      quiet_gap_(std::min<Clock::duration>(kQuietGap, max_delay_)) {
   ONDWIN_CHECK(policy.max_batch >= 1, "max_batch must be >= 1, got ",
                policy.max_batch);
   ONDWIN_CHECK(policy.max_queue >= 1, "max_queue must be >= 1, got ",
@@ -35,32 +40,37 @@ bool Batcher::submit(PendingRequest& request) {
   return true;
 }
 
-std::vector<PendingRequest> Batcher::next_batch() {
+Batcher::Batch Batcher::next_batch() {
   ONDWIN_TRACE_SPAN("batcher.wait");
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (!queue_.empty()) {
-      if (stopping_ ||
-          static_cast<int>(queue_.size()) >= policy_.max_batch) {
-        return take_batch_locked();
-      }
-      const auto deadline = queue_.front().submitted + delay_of(policy_);
-      if (Clock::now() >= deadline) return take_batch_locked();
-      cv_.wait_until(lock, deadline);
-    } else {
+    if (queue_.empty()) {
       if (stopping_) return {};
       cv_.wait(lock);
+      continue;
     }
+    if (stopping_) return take_batch_locked(FlushTrigger::kDrain);
+    if (static_cast<int>(queue_.size()) >= policy_.max_batch) {
+      return take_batch_locked(FlushTrigger::kFull);
+    }
+    const auto now = Clock::now();
+    const auto deadline = queue_.front().submitted + max_delay_;
+    if (now >= deadline) return take_batch_locked(FlushTrigger::kMaxDelay);
+    const auto quiet_at = queue_.back().submitted + quiet_gap_;
+    if (now >= quiet_at) return take_batch_locked(FlushTrigger::kQuiet);
+    // Every submit() notifies, so a new arrival re-arms the quiet timer.
+    cv_.wait_until(lock, std::min(deadline, quiet_at));
   }
 }
 
-std::vector<PendingRequest> Batcher::take_batch_locked() {
+Batcher::Batch Batcher::take_batch_locked(FlushTrigger trigger) {
   const auto n = std::min<std::size_t>(
       queue_.size(), static_cast<std::size_t>(policy_.max_batch));
-  std::vector<PendingRequest> batch;
-  batch.reserve(n);
+  Batch batch;
+  batch.trigger = trigger;
+  batch.requests.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    batch.push_back(std::move(queue_.front()));
+    batch.requests.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
   return batch;

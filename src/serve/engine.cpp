@@ -49,13 +49,14 @@ void Engine::join() {
 
 void Engine::loop() {
   for (;;) {
-    std::vector<PendingRequest> batch = model_.batcher().next_batch();
-    if (batch.empty()) return;  // shut down and drained
-    serve_batch(std::move(batch));
+    Batcher::Batch batch = model_.batcher().next_batch();
+    if (batch.requests.empty()) return;  // shut down and drained
+    serve_batch(std::move(batch.requests), batch.trigger);
   }
 }
 
-void Engine::serve_batch(std::vector<PendingRequest> batch) {
+void Engine::serve_batch(std::vector<PendingRequest> batch,
+                         FlushTrigger trigger) {
   ONDWIN_TRACE_SPAN("serve.batch");
   const auto formed = Clock::now();
 
@@ -156,7 +157,8 @@ void Engine::serve_batch(std::vector<PendingRequest> batch) {
     const auto done = Clock::now();
     // Counters first: a client that wakes on its future must already see
     // this batch in a stats snapshot.
-    model_.batches.fetch_add(1, std::memory_order_relaxed);
+    model_.batches_by_trigger[static_cast<std::size_t>(trigger)].fetch_add(
+        1, std::memory_order_relaxed);
     model_.completed.fetch_add(static_cast<u64>(n),
                                std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {

@@ -34,7 +34,7 @@ class Engine {
 
  private:
   void loop();
-  void serve_batch(std::vector<PendingRequest> batch);
+  void serve_batch(std::vector<PendingRequest> batch, FlushTrigger trigger);
 
   Model& model_;
   const PlanOptions plan_options_;

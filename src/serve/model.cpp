@@ -111,7 +111,12 @@ ModelStats Model::snapshot() const {
   s.expired = expired.load(std::memory_order_relaxed);
   s.completed = completed.load(std::memory_order_relaxed);
   s.failed = failed.load(std::memory_order_relaxed);
-  s.batches = batches.load(std::memory_order_relaxed);
+  for (int t = 0; t < kFlushTriggers; ++t) {
+    const std::size_t i = static_cast<std::size_t>(t);
+    s.batches_by_trigger[i] =
+        batches_by_trigger[i].load(std::memory_order_relaxed);
+    s.batches += s.batches_by_trigger[i];
+  }
   s.mean_batch = s.batches > 0 ? static_cast<double>(s.completed) /
                                      static_cast<double>(s.batches)
                                : 0.0;

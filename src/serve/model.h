@@ -17,6 +17,7 @@
 // model holds one W per conv however many buckets it serves.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -97,7 +98,9 @@ class Model {
   std::atomic<u64> expired{0};
   std::atomic<u64> completed{0};
   std::atomic<u64> failed{0};
-  std::atomic<u64> batches{0};
+  /// Executions by what released the batch (FlushTrigger order); their
+  /// sum is ModelStats::batches.
+  std::array<std::atomic<u64>, kFlushTriggers> batches_by_trigger{};
   LatencyRecorder latency;
   /// Executed batch sizes; engines observe one sample per execution.
   /// Bounds mirror the power-of-two replica buckets so the histogram

@@ -3,11 +3,11 @@
 //
 // The serving pipeline is
 //
-//   submit()/submit_async() → per-model RequestQueue → Batcher (flush on
-//   batch-full or deadline) → worker Engine (per-batch-size replica: a
-//   graph::Executor, for conv models and networks alike) → completion
-//   callback (a future for in-proc submit(), a socket write for the rpc
-//   tier)
+//   submit()/submit_async() → per-model RequestQueue → Batcher (an idle
+//   engine takes the queue once it is full, quiet or old enough) → worker
+//   Engine (per-batch-size replica: a graph::Executor, for conv models
+//   and networks alike) → completion callback (a future for in-proc
+//   submit(), a socket write for the rpc tier)
 //
 // Requests are single samples (batch 1) in the model's SIMD-blocked input
 // layout. The engine core is transport-agnostic: an in-proc call and a
@@ -16,6 +16,7 @@
 // bitwise indistinguishable to the execution replicas.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -29,20 +30,38 @@
 
 namespace ondwin::serve {
 
-/// Dynamic micro-batching policy of one model's request queue.
+/// Dynamic micro-batching policy of one model's request queue. Batching
+/// is work-conserving (serve/batcher.h): an idle engine takes a partial
+/// batch once no request has arrived for Batcher::kQuietGap (0.5 ms), so
+/// requests batch only when they arrive together or queue up behind a
+/// busy engine.
 struct BatchPolicy {
   /// Coalesce at most this many requests into one execution; a full batch
   /// flushes immediately.
   int max_batch = 8;
 
-  /// Bounded-latency guarantee: a partial batch flushes once its oldest
-  /// request has waited this long.
+  /// Cap on lingering: a partial batch flushes once its oldest request
+  /// has waited this long, even while arrivals keep coming closer than
+  /// the quiet gap. It also caps the quiet gap, so 0 dispatches at once.
   double max_delay_ms = 2.0;
 
   /// Backpressure bound on queued (not yet batched) requests; submit()
   /// beyond this rejects with an error instead of queueing unboundedly.
   int max_queue = 1024;
 };
+
+/// What released a batch (Batcher::next_batch): max_batch requests were
+/// queued, the queue went quiet, the oldest request reached max_delay_ms,
+/// or the batcher drained at shutdown.
+enum class FlushTrigger : int { kFull, kQuiet, kMaxDelay, kDrain };
+inline constexpr int kFlushTriggers = 4;
+
+/// "full", "quiet", "max_delay" or "drain" (the metrics label value).
+inline const char* flush_trigger_name(FlushTrigger t) {
+  static constexpr const char* kNames[kFlushTriggers] = {"full", "quiet",
+                                                         "max_delay", "drain"};
+  return kNames[static_cast<int>(t)];
+}
 
 /// Per-model serving configuration.
 struct ModelConfig {
@@ -145,6 +164,9 @@ struct ModelStats {
   u64 completed = 0;
   u64 failed = 0;     // execution errors propagated to futures
   u64 batches = 0;    // executions
+  /// Executions split by what released the batch, indexed by
+  /// FlushTrigger; sums to `batches`.
+  std::array<u64, kFlushTriggers> batches_by_trigger{};
   double mean_batch = 0;  // completed / batches
   i64 queue_depth = 0;    // pending requests right now
 

@@ -253,8 +253,18 @@ obs::MetricsPage InferenceServer::metrics_page() const {
     page.add_counter("ondwin_serve_failed_total",
                      "Requests failed by execution errors", by_model,
                      static_cast<double>(m.failed));
-    page.add_counter("ondwin_serve_batches_total", "Batch executions",
-                     by_model, static_cast<double>(m.batches));
+    for (int t = 0; t < kFlushTriggers; ++t) {
+      obs::Labels labels = by_model;
+      labels.emplace_back("trigger",
+                          flush_trigger_name(static_cast<FlushTrigger>(t)));
+      page.add_counter(
+          "ondwin_serve_batches_total",
+          "Batch executions by what released the batch: full, quiet (no "
+          "arrival for the quiet gap), max_delay or drain",
+          labels,
+          static_cast<double>(
+              m.batches_by_trigger[static_cast<std::size_t>(t)]));
+    }
     page.add_gauge("ondwin_serve_queue_depth",
                    "Requests queued but not yet batched", by_model,
                    static_cast<double>(m.queue_depth));
@@ -325,6 +335,12 @@ std::string InferenceServer::statusz_text() const {
                   static_cast<long long>(m.queue_depth), m.mean_batch,
                   m.p99_ms);
     os << line;
+    os << "    batches by trigger:";
+    for (int t = 0; t < kFlushTriggers; ++t) {
+      os << ' ' << flush_trigger_name(static_cast<FlushTrigger>(t)) << '='
+         << m.batches_by_trigger[static_cast<std::size_t>(t)];
+    }
+    os << "\n";
     os << mem::pool_status_line(str_cat("model:", name), m.pool);
   }
   return os.str();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gemm/batched_gemm.h"
 #include "util/aligned.h"
@@ -109,6 +111,7 @@ TEST_P(MicrokernelMath, JitMatchesNaive) {
   args.x = x.data();
   args.u_next = u.data();
   args.x_next = x.data();
+  args.v_next = v.data();
   args.scatter_rows = rows.data();
   args.scatter_col_stride_bytes = kSimdWidth * sizeof(float);
   kernel.run(args);
@@ -152,6 +155,7 @@ TEST_P(MicrokernelMath, ReferenceMatchesNaive) {
   args.x = x.data();
   args.u_next = u.data();
   args.x_next = x.data();
+  args.v_next = v.data();
   args.scatter_rows = rows.data();
   args.scatter_col_stride_bytes = kSimdWidth * sizeof(float);
   run_microkernel_reference(spec, args);
@@ -184,6 +188,77 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{12, 64, 256, false, StoreMode::kStream}),
     kernel_case_name);
 
+// ------------------------------------------------- next-block prefetches ----
+
+// Prefetches are hints: the next-Û/V̂/X̂ prefetches must leave every result
+// bit unchanged, in every input precision, whether the hint pointers name
+// the call's own operands or unrelated blocks.
+TEST(MicrokernelPrefetch, HintsLeaveResultsBitwise) {
+  if (!microkernel_jit_supported()) GTEST_SKIP() << "host lacks AVX-512";
+  struct Case {
+    int n_blk, c_blk, cp_blk;
+    bool beta;
+    StoreMode store;
+  };
+  const Case cases[] = {{1, 16, 16, false, StoreMode::kAccumulate},
+                        {6, 32, 64, true, StoreMode::kAccumulate},
+                        {29, 128, 128, true, StoreMode::kStream},
+                        {12, 256, 16, false, StoreMode::kAccumulate}};
+  for (Precision prec :
+       {Precision::kFp32, Precision::kBf16, Precision::kFp16}) {
+    for (const Case& c : cases) {
+      MicrokernelSpec spec{c.n_blk, c.c_blk, c.cp_blk, c.beta, c.store};
+      spec.in_prec = prec;
+      if (!microkernel_jit_supported(spec)) continue;
+      const Microkernel kernel(spec);
+
+      // Random fp32 values narrowed to the storage format; the u/v
+      // buffers are sized in floats either way.
+      Rng rng(static_cast<u64>(c.n_blk * 131 + c.c_blk + c.cp_blk));
+      const auto operand = [&](i64 floats) {
+        AlignedBuffer<float> buf(static_cast<std::size_t>(floats));
+        fill_random(buf.data(), floats, rng);
+        if (prec != Precision::kFp32) {
+          std::vector<float> src(buf.data(), buf.data() + floats);
+          convert_fp32_to_storage(prec, src.data(),
+                                  reinterpret_cast<u16*>(buf.data()), floats);
+        }
+        return buf;
+      };
+      const i64 uf = static_cast<i64>(c.n_blk) * c.c_blk;
+      const i64 vf = static_cast<i64>(c.c_blk) * c.cp_blk;
+      const i64 xf = static_cast<i64>(c.n_blk) * c.cp_blk;
+      AlignedBuffer<float> u = operand(uf), v = operand(vf);
+      AlignedBuffer<float> u_next = operand(uf), v_next = operand(vf);
+      AlignedBuffer<float> x0(static_cast<std::size_t>(xf));
+      fill_random(x0.data(), xf, rng);
+      AlignedBuffer<float> x_own(static_cast<std::size_t>(xf));
+      AlignedBuffer<float> x_other(static_cast<std::size_t>(xf));
+      std::memcpy(x_own.data(), x0.data(), sizeof(float) * x0.size());
+      std::memcpy(x_other.data(), x0.data(), sizeof(float) * x0.size());
+
+      MicrokernelArgs args;
+      args.u = u.data();
+      args.v = v.data();
+      args.x = x_own.data();
+      args.u_next = u.data();
+      args.x_next = x_own.data();
+      args.v_next = v.data();
+      kernel.run(args);
+      args.x = x_other.data();
+      args.u_next = u_next.data();
+      args.x_next = x0.data();
+      args.v_next = v_next.data();
+      kernel.run(args);
+      EXPECT_EQ(std::memcmp(x_own.data(), x_other.data(),
+                            sizeof(float) * x_own.size()),
+                0)
+          << precision_name(prec) << " n" << c.n_blk << " c" << c.c_blk
+          << "x" << c.cp_blk;
+    }
+  }
+}
+
 // ----------------------------------------------- scatter stride honouring ----
 
 TEST(MicrokernelScatter, NonContiguousColumnStride) {
@@ -210,6 +285,7 @@ TEST(MicrokernelScatter, NonContiguousColumnStride) {
   args.x = x.data();
   args.u_next = u.data();
   args.x_next = x.data();
+  args.v_next = v.data();
   args.scatter_rows = rows.data();
   args.scatter_col_stride_bytes = group_stride * sizeof(float);
   kernel.run(args);
@@ -309,6 +385,7 @@ TEST(KernelSet, RunStepSelectsRoles) {
   args.x = x.data();
   args.u_next = u.data();
   args.x_next = x.data();
+  args.v_next = v.data();
   set.run_step(0, 1, args);
 
   std::vector<float> expect(x.size());

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/conv_plan.h"
+#include "engine_parker.h"
 #include "obs/trace.h"
 #include "rpc/rpc_client.h"
 #include "rpc/shard_router.h"
@@ -431,12 +432,17 @@ TEST(RpcLoopback, MixedInProcAndSocketRequestsShareBatches) {
                 0x7000 + static_cast<u64>(s));
   }
 
+  // A busy engine holds all four in the queue, however far apart the
+  // socket and in-proc arrivals land.
+  serve::EngineParker parker(fx.server, "conv");
   std::vector<std::future<RpcResponse>> socket_futures;
   socket_futures.push_back(client.submit("conv", inputs[0].data(), fx.sin));
   socket_futures.push_back(client.submit("conv", inputs[1].data(), fx.sin));
   std::vector<serve::ResultFuture> local_futures;
   local_futures.push_back(fx.server.submit("conv", inputs[2].data()));
   local_futures.push_back(fx.server.submit("conv", inputs[3].data()));
+  parker.wait_queued(4);
+  parker.release();
 
   for (int s = 0; s < 2; ++s) {
     RpcResponse r = socket_futures[static_cast<std::size_t>(s)].get();
@@ -510,8 +516,8 @@ TEST(RpcLoopback, RejectsBadRequestsAndStaysUp) {
   rpc.stop();
 }
 
-// With max_inflight=1 and a parked batcher, the second pipelined request
-// is shed with queue_full while the first is still being served.
+// With max_inflight=1 and a parked engine, the second pipelined request
+// is shed with queue_full while the first is still queued.
 TEST(RpcLoopback, AdmissionShedsPipelinedOverload) {
   Fixture fx(/*max_batch=*/8, /*max_delay_ms=*/300.0);
   const std::string path = test_socket_path("shed");
@@ -527,15 +533,18 @@ TEST(RpcLoopback, AdmissionShedsPipelinedOverload) {
 
   AlignedBuffer<float> input;
   fill_random(input, fx.sin, 0xCD);
+  serve::EngineParker parker(fx.server, "conv");
   std::future<RpcResponse> first =
       client.submit("conv", input.data(), fx.sin);
   std::future<RpcResponse> second =
       client.submit("conv", input.data(), fx.sin);
+  parker.wait_queued(1);
 
   RpcResponse r2 = second.get();  // shed answer arrives fast
   EXPECT_EQ(r2.status, kShedQueueFull);
   EXPECT_TRUE(status_is_shed(r2.status));
-  RpcResponse r1 = first.get();  // served once the 300 ms window flushes
+  parker.release();
+  RpcResponse r1 = first.get();  // served once the engine is free
   EXPECT_TRUE(r1.ok()) << r1.error;
 
   const RpcServerStats st = rpc.stats();
