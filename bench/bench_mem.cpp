@@ -17,7 +17,7 @@
 //
 //   cons ms     first plan construction (slab allocation + first-touch)
 //   recon ms    reconstructing the plan after destroying it — the
-//               tuner/replica-rebuild pattern; the pool turns this into a
+//               tuner/plan-rebuild pattern; the pool turns this into a
 //               free-list hit
 //   reconPF     page faults during that reconstruction (pool hit => ~0)
 //   exec ms     best-of-N execute_pretransformed wall time
@@ -89,7 +89,7 @@ ConfigResult run_config(const ConvProblem& p, const PlanOptions& po,
     r.first_touch_secs = warm.first_touch_seconds();
   }  // destroyed: pooled slabs go back to the free lists
 
-  // Reconstruction after teardown — the tuner / replica-rebuild pattern.
+  // Reconstruction after teardown — the tuner / plan-rebuild pattern.
   // With the pool this is a size-class hit: no mmap, no page faults.
   const obs::PerfReading c1 = perf.read();
   Timer rt;

@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
   config.plan = opts;
   server.register_conv("conv", p, weights.data(), config);
 
-  // Warm up: builds the replicas so plan construction stays off the clock.
+  // Warm up: compiles the executor so plan construction stays off the
+  // clock.
   server.submit("conv", input.data()).get();
   {
     std::vector<ResultFuture> warm;

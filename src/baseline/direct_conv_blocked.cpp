@@ -22,9 +22,6 @@ DirectConvBlocked::DirectConvBlocked(const ConvShape& shape, int threads,
   for (int d = 0; d + 1 < rank; ++d) outer_dims_.push_back(out_dims_[d]);
   if (outer_dims_.empty()) outer_dims_.push_back(1);
 
-  sched_ = static_partition({shape_.batch, shape_.out_channels / kSimdWidth,
-                             outer_dims_.product()},
-                            pool_->size());
   for (int t = 0; t < pool_->size(); ++t) {
     row_scratch_.emplace_back(static_cast<std::size_t>(
         out_dims_[rank - 1] * kSimdWidth));
@@ -33,10 +30,17 @@ DirectConvBlocked::DirectConvBlocked(const ConvShape& shape, int threads,
 
 DirectConvBlocked::~DirectConvBlocked() = default;
 
-void DirectConvBlocked::execute(const float* in, const float* w, float* out) {
+void DirectConvBlocked::execute(const float* in, const float* w, float* out,
+                                i64 n) {
+  if (n == 0) n = shape_.batch;
+  ONDWIN_CHECK(n >= 1 && n <= shape_.batch, "execute of ", n,
+               " samples on a direct conv compiled for ", shape_.batch);
+  const std::vector<GridBox> sched = static_partition(
+      {n, shape_.out_channels / kSimdWidth, outer_dims_.product()},
+      pool_->size());
   pool_->run([&](int tid) {
     float* acc = row_scratch_[static_cast<std::size_t>(tid)].data();
-    for_each_in_box(sched_[static_cast<std::size_t>(tid)],
+    for_each_in_box(sched[static_cast<std::size_t>(tid)],
                     [&](const std::array<i64, kMaxGridRank>& c) {
                       row_task(c[0], c[1], c[2], in, w, out, acc);
                     });

@@ -27,8 +27,9 @@ class DirectConvBlocked {
   ~DirectConvBlocked();
 
   /// Blocked layouts (tensor/layout.h): in I[b][c/S][img][s],
-  /// w W[c][c'/S][taps][s], out I'[b][c'/S][out][s].
-  void execute(const float* in, const float* w, float* out);
+  /// w W[c][c'/S][taps][s], out I'[b][c'/S][out][s]. Runs the first `n`
+  /// samples (0 = all shape.batch; 1 ≤ n ≤ shape.batch otherwise).
+  void execute(const float* in, const float* w, float* out, i64 n = 0);
 
   int threads() const { return pool_->size(); }
 
@@ -40,7 +41,6 @@ class DirectConvBlocked {
   Dims out_dims_;
   Dims outer_dims_;  // all output spatial dims except the last
   std::shared_ptr<ThreadPool> pool_;
-  std::vector<GridBox> sched_;
   std::vector<AlignedBuffer<float>> row_scratch_;  // per thread
 };
 

@@ -131,7 +131,7 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options,
   kb_ = problem_.shape.in_channels / blocking_.c_blk;
   jb_ = problem_.shape.out_channels / blocking_.cp_blk;
   fusion_ = choose_fusion(problem_, blocking_, pool_->size(),
-                          l2_cache_bytes(), options_.fusion, prec_);
+                          options_.fusion, prec_);
 
   build_programs();
   build_pipelines();
@@ -142,7 +142,8 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options,
         jb_, t_elems_, out_groups_, options_.scatter_in_gemm, prec_);
   }
 
-  build_schedules();
+  sched_kernel_ = static_partition({problem_.shape.in_channels, out_groups_},
+                                   pool_->size());
   allocate_buffers();
   build_scratch();
 }
@@ -202,17 +203,15 @@ void ConvPlan::choose_blocking() {
 
 FusionPolicy ConvPlan::choose_fusion(const ConvProblem& problem,
                                      const Blocking& blocking, int threads,
-                                     i64 l2_bytes, FusionMode mode,
-                                     Precision precision) {
+                                     FusionMode mode, Precision precision) {
   const i64 esz = precision_bytes(precision);
   const i64 t = problem.tile_elements();
   const i64 c = problem.shape.in_channels;
   const i64 cp = problem.shape.out_channels;
-  const i64 ib = ceil_div(problem.tiles_total() * problem.shape.batch,
-                          static_cast<i64>(blocking.n_blk));
-  const i64 row_block_bytes = blocking.n_blk * (c + cp) * t * esz;
+  const i64 n_blk = blocking.n_blk;
+  const i64 ib = ceil_div(problem.tiles_total() * problem.shape.batch, n_blk);
+  const i64 row_block_bytes = n_blk * (c + cp) * t * esz;
   const i64 v_bytes = c * cp * t * esz;
-  const i64 budget = l2_bytes * 3 / 4;
 
   // One row block per tile block unless pinned: the microkernel already
   // reuses each V̂ row n_blk times, and every larger block measured slower
@@ -228,9 +227,17 @@ FusionPolicy ConvPlan::choose_fusion(const ConvProblem& problem,
       f.fused = true;
       break;
     case FusionMode::kAuto:
-      // The fused schedule hands each thread a run of row blocks.
-      f.fused = ib * row_block_bytes > budget &&
-                v_bytes + row_block_bytes <= budget && ib >= threads;
+      // Fusing keeps each row block's Û and X̂ in cache instead of
+      // round-tripping them through memory, but streams all of V̂ once per
+      // row block, where the staged GEMM (row blocks innermost) reuses
+      // each V̂ block across all of them. Measured at one thread: fused
+      // wins with V̂ at up to ~5 row blocks' Û+X̂ and ties or loses at 8
+      // (DESIGN.md §11). The fused schedule hands each thread
+      // a run of row blocks, counted for ONE sample: a plan runs any
+      // n ≤ batch, and a lone sample on fewer row blocks than threads
+      // would leave some idle where the staged grids keep them all busy.
+      f.fused = ceil_div(problem.tiles_total(), n_blk) >= threads &&
+                v_bytes < 6 * row_block_bytes;
       break;
   }
   if (!f.fused) return FusionPolicy{};
@@ -366,35 +373,34 @@ void ConvPlan::build_kernels() {
                                          options_.use_jit, prec_, out_prec);
 }
 
-void ConvPlan::build_schedules() {
+ConvPlan::Grids ConvPlan::grids(i64 n) const {
   const int k = pool_->size();
-
-  sched_kernel_ = static_partition(
-      {problem_.shape.in_channels, out_groups_}, k);
+  Grids g;
+  g.nb = tile_count_ * n;
+  g.ib = ceil_div(g.nb, static_cast<i64>(blocking_.n_blk));
 
   if (fusion_.fused) {
     // One grid only: the 1-D list of row blocks. Each thread owns a
     // contiguous run (balanced to one row block, not one tile block) and
     // cuts it into tile blocks of at most f_blk, each driven end-to-end
     // (transform → GEMM → inverse).
-    sched_fused_ = static_partition({ib_}, k);
-    return;
+    g.fused = static_partition({g.ib}, k);
+  } else {
+    std::vector<i64> in_grid = {n, in_groups_};
+    for (int d = 0; d < rank_; ++d) in_grid.push_back(tiles_[d]);
+    g.input = static_partition(in_grid, k);
+
+    // (NB/n_blk) least significant: consecutive row blocks multiply the
+    // same V̂, which then stays in cache (paper §4.5).
+    g.gemm = static_partition({t_elems_, jb_, g.ib}, k);
+
+    if (!options_.scatter_in_gemm) {
+      g.copy = static_partition({g.ib, jb_, t_elems_}, k);
+    }
+
+    g.inverse = static_partition({n, out_groups_, tile_count_}, k);
   }
-
-  std::vector<i64> in_grid = {problem_.shape.batch, in_groups_};
-  for (int d = 0; d < rank_; ++d) in_grid.push_back(tiles_[d]);
-  sched_input_ = static_partition(in_grid, k);
-
-  // (NB/n_blk) least significant: consecutive row blocks multiply the same
-  // V̂, which then stays in cache (paper §4.5).
-  sched_gemm_ = static_partition({t_elems_, jb_, ib_}, k);
-
-  if (!options_.scatter_in_gemm) {
-    sched_copy_ = static_partition({ib_, jb_, t_elems_}, k);
-  }
-
-  sched_inverse_ = static_partition(
-      {problem_.shape.batch, out_groups_, tile_count_}, k);
+  return g;
 }
 
 void ConvPlan::allocate_buffers() {
@@ -402,6 +408,11 @@ void ConvPlan::allocate_buffers() {
   // per-thread block scratch (ThreadScratch::fuse_u / fuse_x), and the
   // GEMM accumulates through the per-thread `dump` block.
   if (fusion_.fused) return;
+  // Sized for the compiled batch: an n-sample execute uses the first
+  // ⌈N·n/n_blk⌉ row blocks. Rows of the last one past N·n hold whatever an
+  // earlier execute left there (zeros at first); the GEMM computes rows
+  // independently, so their garbage lands only in I' rows the inverse
+  // never reads.
   // Reduced-precision Û and I' pack two u16 words per float slot, so their
   // workspace checkouts halve (the element counts are multiples of 16).
   // I'_tmp is the fp32 k-loop accumulator and never shrinks.
@@ -414,8 +425,6 @@ void ConvPlan::allocate_buffers() {
   const auto iout_floats = static_cast<std::size_t>(
       nb_pad_ * problem_.shape.out_channels * t_elems_ * esz /
       static_cast<i64>(sizeof(float)));
-  // W is allocated lazily by set_kernels(): a plan that adopts shared
-  // kernels never pays for (or holds) its own copy.
   const bool need_itmp = (kb_ > 1) || !options_.scatter_in_gemm;
   if (options_.pooled_workspace) {
     // Pool checkout. With numa_first_touch the slabs come back unzeroed
@@ -448,11 +457,12 @@ void ConvPlan::first_touch_workspaces() {
   char* i_base = reinterpret_cast<char*>(buf_i_.data());
   char* iout_base = reinterpret_cast<char*>(buf_iout_.data());
   // Û is indexed by (i, k, t) only, so it gets its own disjoint (t, i)
-  // partition: two sched_gemm_ boxes can share a (t, i) range with
+  // partition: two GEMM boxes can share a (t, i) range with
   // different j ranges, and concurrent memsets of the same bytes — even
   // of the same zeros — are a data race.
   const std::vector<GridBox> sched_u =
       static_partition({t_elems_, ib_}, pool_->size());
+  const std::vector<GridBox> sched_gemm = grids(problem_.shape.batch).gemm;
   pool_->run([&](int tid) {
     const auto id = static_cast<std::size_t>(tid);
     {
@@ -469,7 +479,7 @@ void ConvPlan::first_touch_workspaces() {
     // I'_tmp and I' follow the GEMM schedule exactly: the partition tiles
     // the (t, j, i) grid, so the union of boxes covers every byte and no
     // two threads touch the same one.
-    const GridBox& box = sched_gemm_[id];
+    const GridBox& box = sched_gemm[id];
     const i64 t0 = box.begin[0], t1 = box.end[0];
     if (t1 <= t0) return;
     for (i64 j = box.begin[1]; j < box.end[1]; ++j) {
@@ -538,15 +548,11 @@ void ConvPlan::build_scratch() {
 }
 
 i64 ConvPlan::workspace_bytes() const {
-  const std::size_t w_floats = w_ != nullptr ? w_->size() : 0;
   const i64 fuse_floats = fusion_.scratch_floats * pool_->size();
-  i64 bytes = static_cast<i64>((buf_i_.size() + w_floats + buf_itmp_.size() +
-                                buf_iout_.size() + fuse_floats) *
-                               sizeof(float));
-  if (w_red_ != nullptr) {
-    bytes += static_cast<i64>(w_red_->size() * sizeof(u16));
-  }
-  return bytes;
+  return static_cast<i64>((buf_i_.size() + w_.size() + buf_itmp_.size() +
+                           buf_iout_.size() + fuse_floats) *
+                              sizeof(float) +
+                          w_red_.size() * sizeof(u16));
 }
 
 // ------------------------------------------------------------ execution ----
@@ -564,22 +570,13 @@ void ConvPlan::set_kernels(const float* kernels) {
   Timer t;
   const auto w_elems = static_cast<std::size_t>(
       problem_.shape.in_channels * problem_.shape.out_channels * t_elems_);
-  // Copy-on-write against exported handles: once export_kernels() handed W
-  // to someone, a new set_kernels() must not mutate it under their feet.
-  if (w_owned_ == nullptr || w_exported_.load(std::memory_order_acquire)) {
-    w_owned_ = std::make_shared<AlignedBuffer<float>>(w_elems);
-    if (prec_ != Precision::kFp32) {
-      w_red_owned_ = std::make_shared<AlignedBuffer<u16>>(w_elems);
-    }
-    w_exported_.store(false, std::memory_order_release);
+  if (w_.empty()) {
+    w_.reset(w_elems);
+    if (prec_ != Precision::kFp32) w_red_.reset(w_elems);
   }
-  w_ = w_owned_;
   stage_kernel_transform(kernels);
   const StageBalance kb = balance_of(pool_->last_task_seconds());
-  if (prec_ != Precision::kFp32) {
-    convert_kernel_storage();
-    w_red_ = w_red_owned_;
-  }
+  if (prec_ != Precision::kFp32) convert_kernel_storage();
   stats_.kernel_transform = t.seconds();
   stats_.kernel_balance = kb;
   kernels_ready_ = true;
@@ -591,8 +588,8 @@ void ConvPlan::convert_kernel_storage() {
   const i64 blocks = kb_ * jb_ * t_elems_;
   const std::vector<GridBox> sched =
       static_partition({blocks}, pool_->size());
-  const float* src_all = w_owned_->data();
-  u16* dst_all = w_red_owned_->data();
+  const float* src_all = w_.data();
+  u16* dst_all = w_red_.data();
   pool_->run([&](int tid) {
     const GridBox& box = sched[static_cast<std::size_t>(tid)];
     // bf16 V̂ blocks pair-interleave rows for vdpbf16ps; the plain u16
@@ -613,51 +610,13 @@ void ConvPlan::convert_kernel_storage() {
   });
 }
 
-std::string ConvPlan::kernel_signature() const {
-  std::string sig =
-      str_cat("a", alpha_.to_string(), "_c", problem_.shape.in_channels,
-              "_o", problem_.shape.out_channels, "_cb", blocking_.c_blk,
-              "_pb", blocking_.cp_blk);
-  // fp32 signatures stay in the legacy format so pre-existing sharing
-  // keys remain valid; reduced plans never share with fp32 ones.
-  if (prec_ != Precision::kFp32) {
-    sig += str_cat("_pr", precision_name(prec_));
-  }
-  return sig;
-}
-
-SharedKernels ConvPlan::export_kernels() const {
-  ONDWIN_CHECK(kernels_ready_,
-               "export_kernels() requires set_kernels() first");
-  w_exported_.store(true, std::memory_order_release);
-  return {kernel_signature(), w_, w_red_};
-}
-
-bool ConvPlan::try_adopt_kernels(const SharedKernels& shared) {
-  if (shared.signature != kernel_signature()) return false;
-  const auto want = static_cast<std::size_t>(
-      problem_.shape.in_channels * problem_.shape.out_channels * t_elems_);
-  ONDWIN_CHECK(shared.data != nullptr && shared.data->size() == want,
-               "shared kernel buffer has ",
-               shared.data == nullptr ? 0 : shared.data->size(),
-               " floats, expected ", want);
-  if (prec_ != Precision::kFp32) {
-    ONDWIN_CHECK(shared.reduced != nullptr && shared.reduced->size() == want,
-                 "shared kernel handle lacks the reduced-precision blocks "
-                 "its signature promises");
-    w_red_ = shared.reduced;
-    w_red_owned_.reset();
-  }
-  w_ = shared.data;
-  w_owned_.reset();  // adopted plans hold no private W copy
-  kernels_ready_ = true;
-  return true;
-}
-
 void ConvPlan::execute_pretransformed(const float* input, float* output,
-                                      const Epilogue& epilogue) {
+                                      const Epilogue& epilogue, i64 n) {
   ONDWIN_CHECK(kernels_ready_,
                "execute_pretransformed() requires set_kernels() first");
+  if (n == 0) n = problem_.shape.batch;
+  ONDWIN_CHECK(n >= 1 && n <= problem_.shape.batch, "execute of ", n,
+               " samples on a plan compiled for ", problem_.shape.batch);
   if (epilogue.pooled()) {
     for (int d = 0; d < rank_; ++d) {
       ONDWIN_CHECK(problem_.tile_m[d] % epilogue.pool_window == 0,
@@ -669,6 +628,7 @@ void ConvPlan::execute_pretransformed(const float* input, float* output,
     }
   }
   ONDWIN_TRACE_SPAN("conv.execute");
+  const Grids g = grids(n);
   inv_epilogue_ = epilogue_pipeline(epilogue);
   // No kernel transform runs here, so none is reported: total() must not
   // carry the last set_kernels() time (execute() adds its own back).
@@ -680,40 +640,40 @@ void ConvPlan::execute_pretransformed(const float* input, float* output,
   // execute writes into Û and I' and what one GEMM k-sweep reads from W.
   // The fused path moves the same totals through per-thread block scratch.
   const i64 esz = precision_bytes(prec_);
-  stats_.u_bytes = nb_pad_ * problem_.shape.in_channels * t_elems_ * esz;
+  const i64 rows = g.ib * blocking_.n_blk;
+  stats_.u_bytes = rows * problem_.shape.in_channels * t_elems_ * esz;
   stats_.w_bytes = problem_.shape.in_channels *
                    problem_.shape.out_channels * t_elems_ * esz;
-  stats_.iout_bytes =
-      nb_pad_ * problem_.shape.out_channels * t_elems_ * esz;
+  stats_.iout_bytes = rows * problem_.shape.out_channels * t_elems_ * esz;
 
   if (fusion_.fused) {
-    execute_fused(input, output, epilogue);
+    execute_fused(input, output, epilogue, g);
   } else {
-    execute_staged(input, output, epilogue);
+    execute_staged(input, output, epilogue, g);
   }
 }
 
 void ConvPlan::execute_staged(const float* input, float* output,
-                              const Epilogue& epilogue) {
+                              const Epilogue& epilogue, const Grids& g) {
   Timer t;
-  stage_input_transform(input);
+  stage_input_transform(input, g);
   stats_.input_transform = t.seconds();
   stats_.input_balance = balance_of(pool_->last_task_seconds());
 
   t.restart();
-  stage_gemm();
+  stage_gemm(g);
   stats_.gemm = t.seconds();
   stats_.gemm_balance = balance_of(pool_->last_task_seconds());
 
   if (!options_.scatter_in_gemm) {
     t.restart();
-    stage_scatter_copy();
+    stage_scatter_copy(g);
     stats_.scatter_copy = t.seconds();
     stats_.scatter_balance = balance_of(pool_->last_task_seconds());
   }
 
   t.restart();
-  stage_inverse_transform(output, epilogue);
+  stage_inverse_transform(output, epilogue, g);
   stats_.inverse_transform = t.seconds();
   stats_.inverse_balance = balance_of(pool_->last_task_seconds());
 }
@@ -721,7 +681,7 @@ void ConvPlan::execute_staged(const float* input, float* output,
 // ------------------------------------------------------ fused execution ----
 
 void ConvPlan::execute_fused(const float* input, float* output,
-                             const Epilogue& epilogue) {
+                             const Epilogue& epilogue, const Grids& g) {
   for (auto& sc : scratch_) {
     sc->acc_input = sc->acc_gemm = sc->acc_inverse = 0;
   }
@@ -731,11 +691,11 @@ void ConvPlan::execute_fused(const float* input, float* output,
   pool_->run_static([&](int tid) {
     const bool traced = obs::trace_enabled();
     const u64 start_ns = traced ? obs::trace_now_ns() : 0;
-    const GridBox& box = sched_fused_[static_cast<std::size_t>(tid)];
+    const GridBox& box = g.fused[static_cast<std::size_t>(tid)];
     for (i64 iblk0 = box.begin[0]; iblk0 < box.end[0];
          iblk0 += fusion_.f_blk) {
       const i64 iblk1 = std::min<i64>(iblk0 + fusion_.f_blk, box.end[0]);
-      fused_block(tid, iblk0, iblk1, input, output, epilogue);
+      fused_block(tid, iblk0, iblk1, g.nb, input, output, epilogue);
     }
     streaming_fence();  // inverse-transform NT stores into `output`
     if (traced) {
@@ -779,14 +739,15 @@ void ConvPlan::execute_fused(const float* input, float* output,
   stats_.inverse_transform = inv_s[crit];
 }
 
-void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
-                           float* output, const Epilogue& epilogue) {
+void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, i64 nb,
+                           const float* input, float* output,
+                           const Epilogue& epilogue) {
   ThreadScratch& sc = *scratch_[static_cast<std::size_t>(tid)];
   const i64 np0 = iblk0 * blocking_.n_blk;
-  // Rows past nb_ are alignment padding: never transformed, never read
+  // Rows past nb are alignment padding: never transformed, never read
   // back (the GEMM computes garbage there that the inverse skips — same
   // contract as the staged buffers' padded tail).
-  const i64 np_end = std::min(iblk1 * blocking_.n_blk, nb_);
+  const i64 np_end = std::min(iblk1 * blocking_.n_blk, nb);
 
   Timer t;
   {
@@ -812,8 +773,8 @@ void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
   t.restart();
   {
     const float* v = prec_ == Precision::kFp32
-                         ? w_->data()
-                         : reinterpret_cast<const float*>(w_red_->data());
+                         ? w_.data()
+                         : reinterpret_cast<const float*>(w_red_.data());
     fused_gemm_->run(iblk1 - iblk0, sc.fuse_u.data(), v, sc.fuse_x.data(),
                      sc.dump.data(), sc.scatter_rows.data());
   }
@@ -835,10 +796,10 @@ void ConvPlan::fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
 
 // ----------------------------------------------------- stage 1: inputs ----
 
-void ConvPlan::stage_input_transform(const float* input) {
+void ConvPlan::stage_input_transform(const float* input, const Grids& g) {
   pool_->run([&](int tid) {
     ONDWIN_TRACE_SPAN("input_transform");
-    for_each_in_box(sched_input_[static_cast<std::size_t>(tid)],
+    for_each_in_box(g.input[static_cast<std::size_t>(tid)],
                     [&](const std::array<i64, kMaxGridRank>& c) {
                       input_transform_task(tid, c[0], c[1], c, input,
                                            buf_i_.data(), 0);
@@ -966,7 +927,7 @@ void ConvPlan::kernel_transform_task(int tid, i64 c, i64 g,
   const i64 cin = c % blocking_.c_blk;
   const i64 jblk = (g * kSimdWidth) / blocking_.cp_blk;
   const i64 cpin = (g * kSimdWidth) % blocking_.cp_blk;
-  float* dst = w_owned_->data() +
+  float* dst = w_.data() +
                ((kblk * jb_ + jblk) * t_elems_ * blocking_.c_blk + cin) *
                    blocking_.cp_blk +
                cpin;
@@ -975,10 +936,10 @@ void ConvPlan::kernel_transform_task(int tid, i64 c, i64 g,
 
 // -------------------------------------------------------- stage 2: GEMM ----
 
-void ConvPlan::stage_gemm() {
+void ConvPlan::stage_gemm(const Grids& g) {
   pool_->run([&](int tid) {
     ONDWIN_TRACE_SPAN("gemm");
-    const GridBox& box = sched_gemm_[static_cast<std::size_t>(tid)];
+    const GridBox& box = g.gemm[static_cast<std::size_t>(tid)];
     for_each_in_box(box, [&](const std::array<i64, kMaxGridRank>& c) {
       gemm_task(tid, box, c[0], c[1], c[2]);
     });
@@ -1009,8 +970,8 @@ void ConvPlan::gemm_task(int tid, const GridBox& box, i64 t, i64 j, i64 i) {
   const i64 esz = precision_bytes(prec_);
   const char* u_base = reinterpret_cast<const char*>(buf_i_.data());
   const char* v_base = prec_ == Precision::kFp32
-                           ? reinterpret_cast<const char*>(w_->data())
-                           : reinterpret_cast<const char*>(w_red_->data());
+                           ? reinterpret_cast<const char*>(w_.data())
+                           : reinterpret_cast<const char*>(w_red_.data());
 
   const bool scatter = options_.scatter_in_gemm;
   if (scatter) {
@@ -1052,7 +1013,7 @@ void ConvPlan::gemm_task(int tid, const GridBox& box, i64 t, i64 j, i64 i) {
 
 // ------------------------------------------- stage 2b: separate scatter ----
 
-void ConvPlan::stage_scatter_copy() {
+void ConvPlan::stage_scatter_copy(const Grids& g) {
   const i64 x_blk = static_cast<i64>(blocking_.n_blk) * blocking_.cp_blk;
   const i64 groups_per_j = blocking_.cp_blk / kSimdWidth;
   const i64 esz = precision_bytes(prec_);
@@ -1060,7 +1021,7 @@ void ConvPlan::stage_scatter_copy() {
   pool_->run([&](int tid) {
     ONDWIN_TRACE_SPAN("scatter_copy");
     for_each_in_box(
-        sched_copy_[static_cast<std::size_t>(tid)],
+        g.copy[static_cast<std::size_t>(tid)],
         [&](const std::array<i64, kMaxGridRank>& c) {
           const i64 i = c[0], j = c[1], t = c[2];
           const float* x =
@@ -1091,10 +1052,11 @@ void ConvPlan::stage_scatter_copy() {
 // ----------------------------------------------------- stage 3: inverse ----
 
 void ConvPlan::stage_inverse_transform(float* output,
-                                       const Epilogue& epilogue) {
+                                       const Epilogue& epilogue,
+                                       const Grids& g) {
   pool_->run([&](int tid) {
     ONDWIN_TRACE_SPAN("inverse_transform");
-    for_each_in_box(sched_inverse_[static_cast<std::size_t>(tid)],
+    for_each_in_box(g.inverse[static_cast<std::size_t>(tid)],
                     [&](const std::array<i64, kMaxGridRank>& c) {
                       inverse_transform_task(tid, c[0] * tile_count_ + c[2],
                                              c[1], buf_iout_.data(), 0,

@@ -9,6 +9,11 @@
 //   stage 2   T batched GEMMs          I × W  → I'     (scatter in-kernel)
 //   stage 3   inverse tile transform   I'     → output image
 //
+// A plan compiled for B samples executes any n ≤ B of them: the batch
+// only sets how many tile rows the stage grids hold (N·n), all layouts
+// are batch-major, so the workspaces sized for B hold every n-sample
+// offset unchanged, and W does not depend on the batch at all.
+//
 // Fused execution (PlanOptions::fusion) removes the global barriers: the
 // tile grid is cut into per-thread runs of tile blocks small enough that a
 // block's Û and X̂ panels stay L2-resident next to V̂, and each thread
@@ -20,9 +25,7 @@
 // output of one plan feeds the next plan without reshuffling.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/conv_problem.h"
@@ -116,20 +119,6 @@ struct FusionPolicy {
   i64 scratch_floats = 0;  // per-thread Û+X̂ block scratch (0 when staged)
 };
 
-/// Immutable, shareable handle to a plan's transformed-kernel buffer W.
-/// W's layout depends on the transform tile (alpha), the channel extents,
-/// and the c/cp blocking — but NOT on the batch size — so per-batch-size
-/// plan replicas of one model can all execute from a single copy instead
-/// of re-transforming (or worse, re-randomizing) their weights.
-struct SharedKernels {
-  std::string signature;  // layout fingerprint (see kernel_signature())
-  std::shared_ptr<const AlignedBuffer<float>> data;
-  /// Reduced-precision W (bf16 pair-interleaved / fp16 plain blocks) when
-  /// the exporting plan stores W reduced; null for fp32 plans. The
-  /// signature carries the precision, so adoption never mixes formats.
-  std::shared_ptr<const AlignedBuffer<u16>> reduced;
-};
-
 class ConvPlan {
  public:
   /// `pool`: the worker pool to run on, typically one lent by a
@@ -158,27 +147,15 @@ class ConvPlan {
   void set_kernels(const float* kernels);
 
   /// Convolution with memoized kernel transforms (requires set_kernels or
-  /// a prior execute()).
+  /// a prior execute()) over the first `n` samples of the batch: `input`
+  /// and `output` hold n samples in the plan's layouts (batch-major, so
+  /// sample i sits where it sits in a full batch). n = 0 runs all
+  /// problem().shape.batch samples; otherwise 1 ≤ n ≤ that batch. Sample
+  /// i's output does not depend on n.
   void execute_pretransformed(const float* input, float* output,
-                              const Epilogue& epilogue = {});
+                              const Epilogue& epilogue = {}, i64 n = 0);
 
-  /// Layout fingerprint of the transformed-kernel buffer W: two plans with
-  /// equal signatures index W identically and may share one copy. Batch
-  /// size does not participate — W is batch-invariant.
-  std::string kernel_signature() const;
-
-  /// Returns the current transformed kernels (requires set_kernels() or a
-  /// prior execute()) as an immutable shared handle. A later set_kernels()
-  /// on this plan writes a fresh buffer, never the exported one.
-  SharedKernels export_kernels() const;
-
-  /// Adopts kernels exported from a plan with the same signature — the
-  /// zero-copy FX path for per-batch-size replicas. Returns false (leaving
-  /// this plan untouched) when the signature does not match; the caller
-  /// falls back to set_kernels() with the untransformed weights.
-  bool try_adopt_kernels(const SharedKernels& shared);
-
-  /// True once set_kernels()/try_adopt_kernels()/execute() provided W.
+  /// True once set_kernels()/execute() provided W.
   bool kernels_ready() const { return kernels_ready_; }
 
   const ConvProblem& problem() const { return problem_; }
@@ -191,20 +168,16 @@ class ConvPlan {
   const ConvPlanStats& last_stats() const { return stats_; }
 
   /// Resolves `mode` for `problem` under `blocking` — a pure function of
-  /// its arguments, so the rule is testable for any host. Û/X̂ block
-  /// scratch and V̂ share a budget of 3/4 of `l2_bytes` (the per-core L2;
-  /// the rest covers the input and output tiles). A tile block is one row
-  /// block unless blocking.f_blk pins more. kAuto fuses only when all of
-  /// these hold:
-  ///  - the staged Û+X̂ tensors exceed the budget (staged would stream
-  ///    them through memory);
-  ///  - V̂ plus one row block of Û+X̂ fits the budget (else every block
-  ///    re-streams V̂ and staging wins);
-  ///  - there are at least as many tile blocks as threads.
+  /// its arguments, so the rule is testable for any host. A tile block is
+  /// one row block unless blocking.f_blk pins more. kAuto fuses when one
+  /// sample's tiles fill at least one row block per thread (the unit the
+  /// fused schedule partitions; a plan runs any n ≤ batch samples, so a
+  /// lone sample must keep every thread busy too) and V̂ is under six
+  /// row blocks' Û+X̂ (see the rule's comment). It reads no batch size
+  /// beyond the blocking, so a plan runs the same schedule at every n.
   static FusionPolicy choose_fusion(const ConvProblem& problem,
                                     const Blocking& blocking, int threads,
-                                    i64 l2_bytes, FusionMode mode,
-                                    Precision precision);
+                                    FusionMode mode, Precision precision);
 
   /// Auxiliary buffer footprint in bytes (paper §4.4 "Memory overhead").
   i64 workspace_bytes() const;
@@ -238,29 +211,41 @@ class ConvPlan {
  private:
   struct ThreadScratch;
 
+  /// The task grids of an n-sample execution, statically partitioned
+  /// among the pool's threads. Staged plans fill input/gemm/copy/inverse;
+  /// fused plans fill `fused`, the 1-D list of row blocks each thread owns
+  /// a contiguous run of.
+  struct Grids {
+    i64 nb = 0;  // N·n tile rows
+    i64 ib = 0;  // ⌈nb / n_blk⌉ row blocks
+    std::vector<GridBox> input, gemm, copy, inverse, fused;
+  };
+
   void choose_blocking();
   void build_programs();
   void build_pipelines();
   void build_kernels();
-  void build_schedules();
+  /// The grids of an n-sample execution.
+  Grids grids(i64 n) const;
   void allocate_buffers();
   void build_scratch();
   void first_touch_workspaces();
 
-  void stage_input_transform(const float* input);
+  void stage_input_transform(const float* input, const Grids& g);
   void stage_kernel_transform(const float* kernels);
-  /// Converts the fp32 W into w_red_owned_'s bf16/fp16 blocks (bf16
+  /// Converts the fp32 W into w_red_'s bf16/fp16 blocks (bf16
   /// pair-interleaved for vdpbf16ps) after stage_kernel_transform.
   void convert_kernel_storage();
-  void stage_gemm();
-  void stage_scatter_copy();
-  void stage_inverse_transform(float* output, const Epilogue& epilogue);
+  void stage_gemm(const Grids& g);
+  void stage_scatter_copy(const Grids& g);
+  void stage_inverse_transform(float* output, const Epilogue& epilogue,
+                               const Grids& g);
 
   void execute_staged(const float* input, float* output,
-                      const Epilogue& epilogue);
+                      const Epilogue& epilogue, const Grids& g);
   void execute_fused(const float* input, float* output,
-                     const Epilogue& epilogue);
-  void fused_block(int tid, i64 iblk0, i64 iblk1, const float* input,
+                     const Epilogue& epilogue, const Grids& g);
+  void fused_block(int tid, i64 iblk0, i64 iblk1, i64 nb, const float* input,
                    float* output, const Epilogue& epilogue);
 
   void input_transform_task(int tid, i64 b, i64 cg,
@@ -291,9 +276,9 @@ class ConvPlan {
   Dims out_dims_;       // output spatial extents
   i64 tile_count_ = 0;  // N
   i64 t_elems_ = 0;     // T
-  i64 nb_ = 0;          // N·B
-  i64 nb_pad_ = 0;      // NB rounded up to n_blk
-  i64 ib_ = 0, kb_ = 0, jb_ = 0;  // block counts: rows, C, C'
+  i64 nb_ = 0;          // N·B of the compiled batch B
+  i64 nb_pad_ = 0;      // NB rounded up to n_blk (sizes the workspaces)
+  i64 ib_ = 0, kb_ = 0, jb_ = 0;  // block counts at B: rows, C, C'
   i64 in_groups_ = 0, out_groups_ = 0;
 
   // Transform programs per dimension and their stride-frozen pipelines.
@@ -320,12 +305,9 @@ class ConvPlan {
   std::unique_ptr<FusedBlockGemm> fused_gemm_;
 
   // Buffers. The staged workspaces come from the shared
-  // mem::WorkspacePool (PlanOptions::pooled_workspace) and are paged in
-  // on their owning threads per the static schedule. The transformed
-  // kernels W are held through shared_ptrs so a model's W can be shared
-  // across batch-size replicas: `w_` is what stage 2 reads; it aliases
-  // `w_owned_` after set_kernels() or an adopted foreign buffer after
-  // try_adopt_kernels().
+  // mem::WorkspacePool (PlanOptions::pooled_workspace), are sized for the
+  // compiled batch, and are paged in on their owning threads per its
+  // static schedule. W (`w_`) is allocated by the first set_kernels().
   // Under a reduced precision, buf_i_ and buf_iout_ hold bf16/fp16 words
   // (u16, reinterpret_cast at the access sites) in half the footprint —
   // the Workspace is checked out as elems/2 floats. buf_itmp_ (the k-loop
@@ -334,21 +316,17 @@ class ConvPlan {
   // kernel blocks that stage 2 actually streams.
   Precision prec_ = Precision::kFp32;
   mem::Workspace buf_i_;      // transformed inputs  (I)
-  std::shared_ptr<AlignedBuffer<float>> w_owned_;
-  std::shared_ptr<const AlignedBuffer<float>> w_;  // transformed kernels (W)
-  std::shared_ptr<AlignedBuffer<u16>> w_red_owned_;
-  std::shared_ptr<const AlignedBuffer<u16>> w_red_;
-  mutable std::atomic<bool> w_exported_{false};
+  AlignedBuffer<float> w_;    // transformed kernels (W)
+  AlignedBuffer<u16> w_red_;
   mem::Workspace buf_itmp_;   // GEMM accumulators   (I'_tmp)
   mem::Workspace buf_iout_;   // scattered results   (I')
   bool kernels_ready_ = false;
   double first_touch_seconds_ = 0;
 
-  // Scheduling. sched_fused_ partitions the 1-D grid of row blocks so each
-  // thread owns a contiguous run, driven as tile blocks of ≤ f_blk.
+  // Scheduling: the kernel-transform grid is batch-independent; the
+  // n-sample grids are built by each execute (grids()).
   std::shared_ptr<ThreadPool> pool_;
-  std::vector<GridBox> sched_input_, sched_kernel_, sched_gemm_,
-      sched_copy_, sched_inverse_, sched_fused_;
+  std::vector<GridBox> sched_kernel_;
   std::vector<std::unique_ptr<ThreadScratch>> scratch_;
 
   ConvPlanStats stats_;

@@ -11,8 +11,9 @@ namespace ondwin {
 
 /// Execution structure of a plan (paper §4 staged vs fused tile blocks).
 enum class FusionMode : u8 {
-  /// Decide per shape: fuse when the staged intermediates (V̂ + X̂) are too
-  /// large to stay cache-resident between stages, stay staged otherwise.
+  /// Decide per shape: fuse when one sample's tiles fill a row block per
+  /// thread and V̂ is under six row blocks' Û+X̂ (ConvPlan::choose_fusion),
+  /// stay staged otherwise.
   kAuto,
   /// Four fork–join stages with global barriers; V̂/X̂ are full tensors.
   /// This is the paper's original structure and the correctness oracle.
@@ -77,8 +78,8 @@ struct PlanOptions {
 
   /// Check the Û/I'_tmp/I' workspaces out of the shared
   /// mem::WorkspacePool instead of private allocations: plans of one
-  /// shape constructed repeatedly (tuner, selection planner, serving
-  /// bucket replicas) recycle slabs — and the hugepage
+  /// shape constructed repeatedly (tuner, selection planner) recycle
+  /// slabs — and the hugepage
   /// promotions already paid for — instead of re-faulting them. Off =
   /// the legacy private-allocation path (the mem tests' bitwise oracle).
   bool pooled_workspace = true;
@@ -94,11 +95,5 @@ struct PlanOptions {
   /// paper §4.3.2). Empty = no wisdom.
   std::string wisdom_path;
 };
-
-/// Stable fingerprint of every PlanOptions knob that changes the compiled
-/// artifact or its execution resources — two option sets with equal
-/// fingerprints build interchangeable plans (serving keys its per-bucket
-/// replicas on it).
-std::string plan_options_fingerprint(const PlanOptions& options);
 
 }  // namespace ondwin

@@ -28,7 +28,7 @@ std::vector<Blocking> tuning_candidates(const ConvProblem& p);
 
 /// Benchmarks each candidate on synthetic data and returns the fastest.
 /// When the winning blocking executes fused under `base`, a second phase
-/// measures a ladder of fused tile-block sizes around the L2 heuristic
+/// measures a ladder of fused tile-block sizes ({1, 2, 4, 8} row blocks)
 /// and records the fastest in `best.f_blk` (0 when the winner runs
 /// staged); wisdom v2 persists the field, the v1 store ignores it.
 /// When `base.wisdom_path` is set, the winner is stored there so later

@@ -137,9 +137,10 @@ FftConvPlan::FftConvPlan(const ConvShape& shape, const PlanOptions& options,
 
   plane_u_ = bins_ * rows_padded_ * C;
   plane_x_ = bins_ * rows_padded_ * Cp;
-  // Zeroed once at checkout: the padding rows (rows_..rows_padded_) of the
-  // Û planes are never written afterwards, so the GEMM always multiplies
-  // zeros into the (never-read) padding rows of X̂.
+  // Sized for the compiled batch; an n-sample execute uses the first
+  // ⌈n·tiles/n_blk⌉ row blocks of every bin. Zeroed once at checkout: the
+  // rows of the last one past n·tiles hold zeros or an earlier execute's
+  // rows, and the GEMM multiplies them only into X̂ rows nothing reads.
   work_ = mem::Workspace::from_pool(
       mem::WorkspacePool::global(),
       static_cast<std::size_t>(3 * plane_u_ + 2 * plane_x_), /*zero=*/true);
@@ -168,30 +169,8 @@ FftConvPlan::~FftConvPlan() {
 
 i64 FftConvPlan::workspace_bytes() const {
   i64 b = static_cast<i64>((work_.size() + scratch_.size()) * sizeof(float));
-  if (v_) b += static_cast<i64>(v_->size() * sizeof(float));
+  b += static_cast<i64>(v_.size() * sizeof(float));
   return b;
-}
-
-std::string FftConvPlan::kernel_signature() const {
-  std::ostringstream os;
-  os << "fftconv|c" << shape_.in_channels << "|o" << shape_.out_channels
-     << "|k" << shape_.kernel.to_string() << "|g" << grid_.to_string()
-     << "|cb" << blocking_.c_blk << "x" << blocking_.cp_blk;
-  return os.str();
-}
-
-SharedKernels FftConvPlan::export_kernels() const {
-  if (!v_) return {};
-  return {kernel_signature(), v_, nullptr};
-}
-
-bool FftConvPlan::try_adopt_kernels(const SharedKernels& shared) {
-  if (!shared.data || shared.signature != kernel_signature()) return false;
-  ONDWIN_CHECK(static_cast<i64>(shared.data->size()) ==
-                   2 * bins_ * shape_.in_channels * shape_.out_channels,
-               "shared fftconv bank is smaller than its signature promises");
-  v_ = shared.data;
-  return true;
 }
 
 // Runs the forward N-D transform of one lane-blocked real grid in thread
@@ -222,10 +201,14 @@ void FftConvPlan::forward_grid(float* realg, float* fre, float* fim) const {
 void FftConvPlan::set_kernels(const float* kernels_blocked) {
   ONDWIN_TRACE_SPAN("fftconv.kernels");
   const i64 C = shape_.in_channels, Cp = shape_.out_channels;
-  auto v = std::make_shared<AlignedBuffer<float>>(
-      static_cast<std::size_t>(2 * bins_ * C * Cp));
-  float* v_re = v->data();
-  float* v_im = v->data() + bins_ * C * Cp;
+  if (v_.empty()) {
+    v_.reset(static_cast<std::size_t>(2 * bins_ * C * Cp));
+    stats().workspace_bytes.fetch_add(
+        static_cast<i64>(v_.size() * sizeof(float)),
+        std::memory_order_relaxed);
+  }
+  float* v_re = v_.data();
+  float* v_im = v_.data() + bins_ * C * Cp;
 
   const int rank = shape_.image.rank();
   const i64 taps = shape_.kernel.product();
@@ -272,22 +255,13 @@ void FftConvPlan::set_kernels(const float* kernels_blocked) {
       }
     }
   });
-
-  {
-    Stats& s = stats();
-    s.workspace_bytes.fetch_add(
-        static_cast<i64>(v->size() * sizeof(float)) -
-            (v_ ? static_cast<i64>(v_->size() * sizeof(float)) : 0),
-        std::memory_order_relaxed);
-  }
-  v_ = std::move(v);
 }
 
-void FftConvPlan::transform_input_task(int tid, int threads,
+void FftConvPlan::transform_input_task(int tid, int threads, i64 rows,
                                        const float* input) {
   const int rank = shape_.image.rank();
   const i64 in_groups = shape_.in_channels / kSimdWidth;
-  const i64 tasks = rows_ * in_groups;
+  const i64 tasks = rows * in_groups;
   const i64 tiles_total = tiles_.product();
 
   float* realg = scratch_.data() + tid * scratch_per_thread_;
@@ -370,12 +344,12 @@ void FftConvPlan::transform_input_task(int tid, int threads,
   }
 }
 
-void FftConvPlan::gemm_task(int tid, int threads) {
+void FftConvPlan::gemm_task(int tid, int threads, i64 rows) {
   const i64 C = shape_.in_channels, Cp = shape_.out_channels;
   const int n_blk = blocking_.n_blk;
   const int c_blk = blocking_.c_blk;
   const int cp_blk = blocking_.cp_blk;
-  const i64 row_blocks = rows_padded_ / n_blk;
+  const i64 row_blocks = ceil_div(rows, static_cast<i64>(n_blk));
   const i64 u_bin = rows_padded_ * C;
   const i64 v_bin = C * Cp;
   const i64 x_bin = rows_padded_ * Cp;
@@ -387,7 +361,7 @@ void FftConvPlan::gemm_task(int tid, int threads) {
   const float* u_imneg = u_im + plane_u_;
   float* x_re = wbase + 3 * plane_u_;
   float* x_im = x_re + plane_x_;
-  const float* v_re = v_->data();
+  const float* v_re = v_.data();
   const float* v_im = v_re + bins_ * C * Cp;
   // The blocks of chain step k of `pass` in bin f. The X_re chain (pass 0)
   // is U_re·V_re then (−U_im)·V_im, the X_im chain U_re·V_im then
@@ -445,12 +419,12 @@ void FftConvPlan::gemm_task(int tid, int threads) {
   }
 }
 
-void FftConvPlan::inverse_task(int tid, int threads, float* output,
-                               const Epilogue& epilogue) {
+void FftConvPlan::inverse_task(int tid, int threads, i64 rows,
+                               float* output, const Epilogue& epilogue) {
   const int rank = shape_.image.rank();
   const Dims out = shape_.output();
   const i64 out_groups = shape_.out_channels / kSimdWidth;
-  const i64 tasks = rows_ * out_groups;
+  const i64 tasks = rows * out_groups;
   const i64 tiles_total = tiles_.product();
   const i64 grid_l = grid_[rank - 1];
   const i64 bins_l = rfft_.bins();
@@ -552,9 +526,12 @@ void FftConvPlan::inverse_task(int tid, int threads, float* output,
 }
 
 void FftConvPlan::execute_pretransformed(const float* input, float* output,
-                                         const Epilogue& epilogue) {
+                                         const Epilogue& epilogue, i64 n) {
   ONDWIN_CHECK(kernels_ready(),
                "FftConvPlan::set_kernels must be called first");
+  if (n == 0) n = shape_.batch;
+  ONDWIN_CHECK(n >= 1 && n <= shape_.batch, "execute of ", n,
+               " samples on an FFT plan compiled for ", shape_.batch);
   ONDWIN_CHECK(!epilogue.pooled(),
                "fftconv does not fuse pooling; the planner routes pooled "
                "epilogues to Winograd");
@@ -566,18 +543,20 @@ void FftConvPlan::execute_pretransformed(const float* input, float* output,
   execs.inc();
 
   const int threads = pool_->size();
+  const i64 rows = n * tiles_.product();
   {
     ONDWIN_TRACE_SPAN("fftconv.input");
-    pool_->run([&](int tid) { transform_input_task(tid, threads, input); });
+    pool_->run(
+        [&](int tid) { transform_input_task(tid, threads, rows, input); });
   }
   {
     ONDWIN_TRACE_SPAN("fftconv.gemm");
-    pool_->run([&](int tid) { gemm_task(tid, threads); });
+    pool_->run([&](int tid) { gemm_task(tid, threads, rows); });
   }
   {
     ONDWIN_TRACE_SPAN("fftconv.inverse");
     pool_->run([&](int tid) {
-      inverse_task(tid, threads, output, epilogue);
+      inverse_task(tid, threads, rows, output, epilogue);
     });
   }
 }

@@ -29,9 +29,8 @@
 // image.
 //
 // The engine fulfils the same FX/AutoConv contract as ConvPlan:
-// set_kernels() once (or adopt a shared bank), execute_pretransformed()
-// many, blocked layouts in and out, zero-copy kernel-bank sharing across
-// batch-size replicas via export_kernels()/try_adopt_kernels().
+// set_kernels() once, execute_pretransformed() many on any n ≤ B of the
+// compiled batch's samples, blocked layouts in and out.
 #pragma once
 
 #include <memory>
@@ -80,34 +79,32 @@ class FftConvPlan {
   /// reuses them — the FX inference mode.
   void set_kernels(const float* kernels_blocked);
 
-  /// `input`/`output`: blocked image batches. Fuses the bias/ReLU
-  /// epilogue into the stage-3 store; pooled epilogues are not supported
-  /// (checked) — the planner only routes them to Winograd.
+  /// `input`/`output`: blocked image batches of the first `n` samples
+  /// (n = 0: all shape().batch; as ConvPlan::execute_pretransformed).
+  /// Fuses the bias/ReLU epilogue into the stage-3 store; pooled
+  /// epilogues are not supported (checked) — the planner only routes them
+  /// to Winograd.
   void execute_pretransformed(const float* input, float* output,
-                              const Epilogue& epilogue = {});
+                              const Epilogue& epilogue = {}, i64 n = 0);
 
-  /// Zero-copy sharing of the frequency-domain kernel bank across
-  /// batch-size replicas (the bank's layout is batch-independent).
-  SharedKernels export_kernels() const;
-  bool try_adopt_kernels(const SharedKernels& shared);
-  std::string kernel_signature() const;
-
-  bool kernels_ready() const { return v_ != nullptr; }
+  bool kernels_ready() const { return !v_.empty(); }
   const ConvShape& shape() const { return shape_; }
 
   // Resolved geometry (tests / cost-model validation).
   const Dims& grid() const { return grid_; }
   const Dims& tiles() const { return tiles_; }
   i64 bins() const { return bins_; }       // F: frequency bins (Hermitian)
-  i64 rows() const { return rows_; }       // batch · tiles
+  i64 rows() const { return rows_; }       // batch · tiles (compiled batch)
   const Blocking& blocking() const { return blocking_; }
 
   i64 workspace_bytes() const;
 
  private:
-  void transform_input_task(int tid, int threads, const float* input);
-  void gemm_task(int tid, int threads);
-  void inverse_task(int tid, int threads, float* output,
+  // `rows`: the n-sample execution's n · tiles GEMM rows.
+  void transform_input_task(int tid, int threads, i64 rows,
+                            const float* input);
+  void gemm_task(int tid, int threads, i64 rows);
+  void inverse_task(int tid, int threads, i64 rows, float* output,
                     const Epilogue& epilogue);
   void forward_grid(float* realg, float* fre, float* fim) const;
 
@@ -142,7 +139,7 @@ class FftConvPlan {
   i64 plane_u_ = 0, plane_x_ = 0, scratch_per_thread_ = 0;
 
   // Frequency-domain kernel bank: V_re then V_im, each bins_·C·C'.
-  std::shared_ptr<const AlignedBuffer<float>> v_;
+  AlignedBuffer<float> v_;
 };
 
 /// Process-wide counters for /statusz and tests.

@@ -175,13 +175,6 @@ void Graph::set_conv_weights_blocked(ValueId conv_out,
   std::memcpy(n.weights.data(), w_blocked, n.weights.size() * sizeof(float));
 }
 
-void Graph::release_conv_weights(i32 node) {
-  Node& n = nodes_.at(static_cast<std::size_t>(node));
-  ONDWIN_CHECK(n.kind == OpKind::kConv, "node ", node,
-               " is not a convolution");
-  n.weights = AlignedBuffer<float>();
-}
-
 std::string conv_label(const Node& conv) {
   const ConvShape& s = conv.problem.shape;
   std::string label = str_cat(s.in_channels, "->", s.out_channels, " k",

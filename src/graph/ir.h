@@ -51,8 +51,7 @@ struct Node {
   // weight bank.
   ConvProblem problem;
   select::SelectedConfig config;
-  AlignedBuffer<float> weights;  // problem.kernel_layout() floats, or
-                                 // empty once released
+  AlignedBuffer<float> weights;  // problem.kernel_layout() floats
 
   // kBias: per-output-channel addends (channels floats, plain order).
   AlignedBuffer<float> bias;
@@ -117,9 +116,6 @@ class Graph {
   void set_conv_weights(ValueId conv_out, const float* w_plain);
   /// Same, already in the blocked kernel-bank layout.
   void set_conv_weights_blocked(ValueId conv_out, const float* w_blocked);
-  /// Frees conv node `node`'s weight bank (weights becomes empty). An
-  /// executor calls it for steps that adopted a transformed bank.
-  void release_conv_weights(i32 node);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<Value>& values() const { return values_; }

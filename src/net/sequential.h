@@ -45,8 +45,7 @@ class Sequential {
   /// wisdom); its `plan` field is ignored — the network's own PlanOptions
   /// govern execution, and its wisdom path caches the decisions.
   /// to_graph(batch, options) re-runs selection at another batch size
-  /// (wisdom makes that cheap), which is how serving gets per-batch-size
-  /// algorithm choices.
+  /// (wisdom makes that cheap); serving selects at its max_batch.
   int add_conv_auto(i64 out_channels, Dims kernel, Dims padding,
                     bool relu = true,
                     const select::SelectOptions& opts = {});
@@ -84,7 +83,7 @@ class Sequential {
   /// Same, at `batch` samples: auto layers re-run selection at that
   /// batch size under `options` (wisdom hits once the decision has been
   /// measured), fixed layers keep their tile. Serving compiles one of
-  /// these per batch-size bucket.
+  /// these per model, at its max_batch.
   graph::Graph to_graph(i64 batch, const PlanOptions& options) const;
 
   /// Human-readable per-layer summary ("conv 64->128 3x3 F(4x4) ...").

@@ -24,9 +24,9 @@
 //                  fused epilogues — same FX contract as ConvPlan
 //   serve::InferenceServer — concurrent serving with dynamic
 //                  micro-batching; every model (a conv model is a
-//                  one-layer network) runs as one graph::Executor per
-//                  batch-size bucket, and add_conv_auto layers re-run the
-//                  planner per bucket
+//                  one-layer network) runs on one graph::Executor
+//                  compiled at its max_batch, which executes any batch of
+//                  n ≤ max_batch requests as exactly n samples
 //   rpc::RpcServer / rpc::RpcClient / rpc::ShardRouter — the network
 //                  tier: zero-copy length-prefixed tensor framing over
 //                  unix/TCP sockets into the same batcher queues as

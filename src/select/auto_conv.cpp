@@ -33,10 +33,7 @@ void apply_epilogue_blocked(const ImageLayout& layout, float* data,
 AutoConv::AutoConv(const ConvShape& shape, const SelectedConfig& config,
                    const PlanOptions& options,
                    std::shared_ptr<ThreadPool> pool)
-    : shape_(shape),
-      config_(config),
-      in_layout_(shape.batch, shape.in_channels, shape.image),
-      out_layout_(shape.batch, shape.out_channels, shape.output()) {
+    : shape_(shape), config_(config) {
   shape_.validate();
   switch (config_.algorithm) {
     case Algorithm::kWinograd: {
@@ -97,46 +94,25 @@ void AutoConv::set_kernels(const float* kernels_blocked) {
 }
 
 void AutoConv::execute_pretransformed(const float* input, float* output,
-                                      const Epilogue& epilogue) {
+                                      const Epilogue& epilogue, i64 n) {
   ONDWIN_CHECK(kernels_ready_, "AutoConv::set_kernels must be called first");
   switch (config_.algorithm) {
     case Algorithm::kWinograd:
-      plan_->execute_pretransformed(input, output, epilogue);
+      plan_->execute_pretransformed(input, output, epilogue, n);
       return;
     case Algorithm::kDirect:
-      direct_->execute(input, w_blocked_.data(), output);
+      direct_->execute(input, w_blocked_.data(), output, n);
       break;
     case Algorithm::kFft:
       // Native blocked layouts and a fused epilogue — no conversion, no
       // post-pass.
-      fft_->execute_pretransformed(input, output, epilogue);
+      fft_->execute_pretransformed(input, output, epilogue, n);
       return;
   }
-  apply_epilogue_blocked(out_layout_, output, epilogue);
-}
-
-SharedKernels AutoConv::export_kernels() const {
-  if (plan_ != nullptr) return plan_->export_kernels();
-  if (fft_ != nullptr) return fft_->export_kernels();
-  return {};
-}
-
-bool AutoConv::try_adopt_kernels(const SharedKernels& shared) {
-  if (plan_ != nullptr) {
-    if (!plan_->try_adopt_kernels(shared)) return false;
-  } else if (fft_ != nullptr) {
-    if (!fft_->try_adopt_kernels(shared)) return false;
-  } else {
-    return false;
-  }
-  kernels_ready_ = true;
-  return true;
-}
-
-bool AutoConv::kernels_ready() const {
-  if (plan_ != nullptr) return plan_->kernels_ready();
-  if (fft_ != nullptr) return fft_->kernels_ready();
-  return kernels_ready_;
+  apply_epilogue_blocked(
+      ImageLayout(n == 0 ? shape_.batch : n, shape_.out_channels,
+                  shape_.output()),
+      output, epilogue);
 }
 
 i64 AutoConv::workspace_bytes() const {

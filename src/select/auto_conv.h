@@ -1,9 +1,9 @@
 // AutoConv: a uniform blocked-layout executor over the three algorithmic
 // classes the selection planner chooses between. Whatever the planner
 // picked, callers see the ConvPlan FX contract — set_kernels() once,
-// execute_pretransformed() many, blocked layouts in and out, fused
-// bias/ReLU epilogue — so graph conv nodes and serving replicas can hold
-// an AutoConv wherever they held a ConvPlan.
+// execute_pretransformed() many on any n ≤ B of the compiled batch,
+// blocked layouts in and out, fused bias/ReLU epilogue — so graph conv
+// nodes can hold an AutoConv wherever they held a ConvPlan.
 //
 //   Winograd  → ConvPlan with the selected tile_m and blocking overrides
 //   direct    → DirectConvBlocked (epilogue applied as a post-pass)
@@ -60,18 +60,12 @@ class AutoConv {
   /// frequency-domain bank (FFT), or a plain copy (direct).
   void set_kernels(const float* kernels_blocked);
 
-  /// Requires set_kernels (or a successful try_adopt_kernels) first.
+  /// Requires set_kernels first. Runs the first `n` samples (0 = all of
+  /// shape().batch), as ConvPlan::execute_pretransformed.
   void execute_pretransformed(const float* input, float* output,
-                              const Epilogue& epilogue = {});
+                              const Epilogue& epilogue = {}, i64 n = 0);
 
-  /// Zero-copy W sharing across batch-size replicas — supported by the
-  /// Winograd and FFT backends (both banks are batch-independent); the
-  /// direct class returns an empty handle / false and the caller falls
-  /// back to set_kernels().
-  SharedKernels export_kernels() const;
-  bool try_adopt_kernels(const SharedKernels& shared);
-
-  bool kernels_ready() const;
+  bool kernels_ready() const { return kernels_ready_; }
   const ConvShape& shape() const { return shape_; }
   const SelectedConfig& config() const { return config_; }
 
@@ -83,7 +77,6 @@ class AutoConv {
  private:
   ConvShape shape_;
   SelectedConfig config_;
-  ImageLayout in_layout_, out_layout_;
 
   // Exactly one backend is non-null, per config_.algorithm.
   std::unique_ptr<ConvPlan> plan_;

@@ -318,8 +318,8 @@ std::unique_ptr<AutoConv> plan_auto(const ConvShape& shape,
                                     const SelectOptions& opts) {
   SelectOptions o = opts;
   // ONDWIN_PREC beats the programmatic default here — at the API entry
-  // point, not inside ConvPlan — so plan fingerprints, wisdom records, and
-  // the constructed plan all see the same precision.
+  // point, not inside ConvPlan — so wisdom records and the constructed
+  // plan see the same precision.
   precision_env_override(&o.plan.precision);
   const SelectedConfig sel = select_config(shape, o);
   PlanOptions popts = o.plan;

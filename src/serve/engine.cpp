@@ -27,13 +27,13 @@ u64 to_ns(Clock::time_point t) {
 
 Engine::Engine(Model& model, const PlanOptions& plan_options, int index)
     : model_(model), plan_options_(plan_options), index_(index) {
-  const i64 max_bucket = model_.buckets().back();
+  const i64 max_batch = model_.config().batching.max_batch;
   in_staging_ = mem::Workspace::from_pool(
       model_.pool(),
-      static_cast<std::size_t>(max_bucket * model_.sample_input_floats()));
+      static_cast<std::size_t>(max_batch * model_.sample_input_floats()));
   out_staging_ = mem::Workspace::from_pool(
       model_.pool(),
-      static_cast<std::size_t>(max_bucket * model_.sample_output_floats()));
+      static_cast<std::size_t>(max_batch * model_.sample_output_floats()));
 }
 
 Engine::~Engine() { join(); }
@@ -104,8 +104,15 @@ void Engine::serve_batch(std::vector<PendingRequest> batch,
   }
 
   try {
-    const int bucket = model_.bucket_for(n);
-    Model::Replica replica = model_.replica(bucket, plan_options_);
+    if (exec_ == nullptr) {
+      graph::CompileOptions copts;
+      copts.plan = plan_options_;
+      copts.pool = &model_.pool();
+      exec_ = std::make_unique<graph::Executor>(
+          model_.network().to_graph(model_.config().batching.max_batch,
+                                    plan_options_),
+          copts);
+    }
 
     // Stage the requests into one contiguous blocked batch. Both layouts
     // are batch-major, so sample b occupies floats [b·sin, (b+1)·sin).
@@ -114,20 +121,11 @@ void Engine::serve_batch(std::vector<PendingRequest> batch,
                   batch[static_cast<std::size_t>(i)].input.data(),
                   static_cast<std::size_t>(sin) * sizeof(float));
     }
-    // Zero the padded tail rows: they execute (and their garbage would be
-    // harmless to other rows), but deterministic inputs keep every run of
-    // the engine bit-reproducible.
-    if (bucket > n) {
-      std::memset(in_staging_.data() + static_cast<i64>(n) * sin, 0,
-                  static_cast<std::size_t>((bucket - n) * sin) *
-                      sizeof(float));
-    }
     const u64 staged_ns = tracing ? obs::trace_now_ns() : 0;
 
     Timer exec_timer;
     const u64 exec_begin_ns = tracing ? obs::trace_now_ns() : 0;
     {
-      std::lock_guard<std::mutex> lock(*replica.exec_mutex);
       // Execute under the first traced request's context: conv-stage and
       // graph-step spans opened inside chain into that request's trace
       // (one representative per batch — the per-request exec spans below
@@ -140,7 +138,7 @@ void Engine::serve_batch(std::vector<PendingRequest> batch,
         }
       }
       obs::TraceContextScope scope(batch_ctx);
-      replica.graph->execute(in_staging_.data(), out_staging_.data());
+      exec_->execute(in_staging_.data(), out_staging_.data(), n);
     }
     const double exec_ms = exec_timer.millis();
     if (tracing) {
@@ -177,7 +175,7 @@ void Engine::serve_batch(std::vector<PendingRequest> batch,
       req.done(std::move(result), nullptr);
     }
   } catch (...) {
-    // Replica construction or execution failed: every request of the
+    // Executor construction or execution failed: every request of the
     // batch learns about it through its completion (counter first, as
     // above).
     model_.failed.fetch_add(static_cast<u64>(n), std::memory_order_relaxed);

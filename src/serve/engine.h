@@ -1,16 +1,18 @@
 // A worker engine: one dispatcher thread that drains a model's batcher,
-// stages the coalesced requests into a contiguous blocked batch, executes
-// the right per-batch-size replica, and fulfills the request futures.
+// stages the n coalesced requests into a contiguous blocked batch, runs
+// those n samples on the model's executor, and fulfills the request
+// futures. Each model has exactly one engine, which owns the executor:
+// compiled from the model's network at max_batch on the first batch.
 //
 // The dispatcher thread itself does no numeric work beyond the staging
-// copies — execution happens inside the replica's ThreadPool (the
-// executor's fork–join workers, shared by all its conv steps). Several
-// engines with identical options share replicas and take turns via the
-// replica's execution mutex.
+// copies — execution happens inside the executor's ThreadPool (its
+// fork–join workers, shared by all its conv steps).
 #pragma once
 
+#include <memory>
 #include <thread>
 
+#include "graph/executor.h"
 #include "serve/model.h"
 
 namespace ondwin::serve {
@@ -39,8 +41,9 @@ class Engine {
   Model& model_;
   const PlanOptions plan_options_;
   const int index_;
-  mem::Workspace in_staging_;   // max-bucket blocked input batch
-  mem::Workspace out_staging_;  // max-bucket blocked output batch
+  mem::Workspace in_staging_;   // max_batch blocked input batch
+  mem::Workspace out_staging_;  // max_batch blocked output batch
+  std::unique_ptr<graph::Executor> exec_;  // built by the first batch
   std::thread thread_;
 };
 

@@ -4,13 +4,6 @@ namespace ondwin::serve {
 
 namespace {
 
-std::vector<int> make_buckets(int max_batch) {
-  std::vector<int> buckets;
-  for (int b = 1; b < max_batch; b *= 2) buckets.push_back(b);
-  buckets.push_back(max_batch);
-  return buckets;
-}
-
 // The one-layer network a conv model is served as. Unpack + repack is an
 // exact copy, so the layer holds the caller's bits.
 std::shared_ptr<const Sequential> conv_network(const std::string& name,
@@ -54,7 +47,6 @@ Model::Model(std::string name, std::shared_ptr<const Sequential> net,
       conv_shape_(std::move(conv_shape)),
       pool_(str_cat("model:", name_)),
       batcher_(config.batching),
-      buckets_(make_buckets(config.batching.max_batch)),
       base_net_(std::move(net)) {
   ONDWIN_CHECK(base_net_ != nullptr, "model '", name_,
                "' registered with a null network");
@@ -64,44 +56,6 @@ Model::Model(std::string name, std::shared_ptr<const Sequential> net,
   const ImageLayout& out = base_net_->output_layout();
   sample_in_ = in.channels * in.pixels();
   sample_out_ = out.channels * out.pixels();
-}
-
-int Model::bucket_for(int batch) const {
-  for (int b : buckets_) {
-    if (b >= batch) return b;
-  }
-  fail("batch ", batch, " exceeds max_batch ", config_.batching.max_batch,
-       " for model '", name_, "'");
-}
-
-Model::Replica Model::replica(int bucket, const PlanOptions& options) {
-  // One replica per (bucket, options) fingerprint, compiled once under
-  // the model lock. Every replica after the first adopts the first one's
-  // transformed kernel banks wherever the conv's backend agrees (always,
-  // for fixed layers), so the model holds one W per conv however many
-  // buckets it serves.
-  const std::string key =
-      str_cat(bucket, "|", plan_options_fingerprint(options));
-  std::shared_ptr<NetReplica> rep;
-  {
-    std::lock_guard<std::mutex> lock(net_mu_);
-    auto it = net_replicas_.find(key);
-    if (it == net_replicas_.end()) {
-      graph::CompileOptions copts;
-      copts.plan = options;
-      copts.pool = &pool_;
-      auto fresh = std::make_shared<NetReplica>();
-      fresh->graph = std::make_unique<graph::Executor>(
-          base_net_->to_graph(bucket, options), copts, first_);
-      if (first_ == nullptr) first_ = fresh->graph.get();
-      it = net_replicas_.emplace(key, std::move(fresh)).first;
-    }
-    rep = it->second;
-  }
-  Replica r;
-  r.exec_mutex = &rep->exec_mutex;
-  r.graph = rep->graph.get();
-  return r;
 }
 
 ModelStats Model::snapshot() const {

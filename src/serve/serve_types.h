@@ -3,17 +3,18 @@
 //
 // The serving pipeline is
 //
-//   submit()/submit_async() → per-model RequestQueue → Batcher (an idle
-//   engine takes the queue once it is full, quiet or old enough) → worker
-//   Engine (per-batch-size replica: a graph::Executor, for conv models
-//   and networks alike) → completion callback (a future for in-proc
-//   submit(), a socket write for the rpc tier)
+//   submit()/submit_async() → per-model RequestQueue → Batcher (the idle
+//   engine takes the queue once it is full, quiet or old enough) → the
+//   model's worker Engine (runs the n requests' samples on the model's
+//   one graph::Executor, for conv models and networks alike) → completion
+//   callback (a future for in-proc submit(), a socket write for the rpc
+//   tier)
 //
 // Requests are single samples (batch 1) in the model's SIMD-blocked input
 // layout. The engine core is transport-agnostic: an in-proc call and a
 // network frame become the same PendingRequest — a pooled input slab plus
 // a Completion — so both coalesce through the same batcher queue and are
-// bitwise indistinguishable to the execution replicas.
+// bitwise indistinguishable to the executor.
 #pragma once
 
 #include <array>
@@ -67,27 +68,19 @@ inline const char* flush_trigger_name(FlushTrigger t) {
 struct ModelConfig {
   BatchPolicy batching;
 
-  /// Dedicated worker engines draining this model's queue. Engines with
-  /// identical plan options share execution replicas (each is compiled
-  /// once, executions serialize).
-  int engines = 1;
-
-  /// Plan knobs shared by every replica (JIT switches, wisdom, blocking
-  /// overrides). `plan.threads` is the per-engine thread count (0 = an
-  /// even share of the server's CPU budget); each replica runs its conv
-  /// steps on one pool of that many threads. `plan.precision` selects
+  /// Plan knobs of the model's executor (JIT switches, wisdom, blocking
+  /// overrides). `plan.threads` is its thread count (0 = the server's
+  /// CPU budget); it runs its conv steps on one pool of that many
+  /// threads, driven by the model's one engine. `plan.precision` selects
   /// reduced (bf16/fp16) storage for the conv intermediates — the
-  /// ONDWIN_PREC environment variable overrides it at engine launch, and
-  /// distinct precisions never share a replica or a transformed-kernel
-  /// bank.
+  /// ONDWIN_PREC environment variable overrides it at engine launch.
   PlanOptions plan;
 };
 
 /// Server-wide configuration.
 struct ServerOptions {
-  /// CPU count of the server's budget (0 = all hardware threads). The
-  /// budget is divided evenly among a model's engines when
-  /// `ModelConfig::plan.threads` is 0.
+  /// CPU count of the server's budget (0 = all hardware threads): the
+  /// thread count of a model whose `ModelConfig::plan.threads` is 0.
   int cpu_count = 0;
 
   /// Opt-in debug/metrics HTTP endpoint (obs::HttpExporter): -1 (the
@@ -182,7 +175,7 @@ struct ModelStats {
   double max_ms = 0;
 
   /// Distribution of executed batch sizes (occupancy of the micro-batch
-  /// coalescer) — bucket bounds follow the power-of-two replica buckets.
+  /// coalescer), in power-of-two buckets.
   obs::Histogram::Snapshot batch_occupancy;
 
   /// The model's workspace pool (request copies, result outputs, engine

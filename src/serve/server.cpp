@@ -53,24 +53,16 @@ void InferenceServer::add_model(std::unique_ptr<Model> model) {
   ONDWIN_CHECK(!shut_down_, "server is shut down");
   ONDWIN_CHECK(models_.count(model->name()) == 0, "model '", model->name(),
                "' already registered");
-  const ModelConfig& config = model->config();
-  ONDWIN_CHECK(config.engines >= 1, "model '", model->name(),
-               "' needs at least one engine, got ", config.engines);
-  const int share =
-      std::max(1, cpu_budget_ / std::max(1, config.engines));
-  for (int e = 0; e < config.engines; ++e) {
-    PlanOptions po = config.plan;
-    // ONDWIN_PREC beats the model's configured storage precision, so a
-    // deployment can flip a whole server to bf16/fp16 (or back) without
-    // a rebuild. Applied before replica construction so every engine's
-    // replica key carries the effective precision.
-    precision_env_override(&po.precision);
-    if (po.threads <= 0) po.threads = share;
-    auto engine = std::make_unique<Engine>(
-        *model, po, static_cast<int>(engines_.size()));
-    engine->start();
-    engines_.push_back(std::move(engine));
-  }
+  PlanOptions po = model->config().plan;
+  // ONDWIN_PREC beats the model's configured storage precision, so a
+  // deployment can flip a whole server to bf16/fp16 (or back) without a
+  // rebuild.
+  precision_env_override(&po.precision);
+  if (po.threads <= 0) po.threads = std::max(1, cpu_budget_);
+  auto engine =
+      std::make_unique<Engine>(*model, po, static_cast<int>(engines_.size()));
+  engine->start();
+  engines_.push_back(std::move(engine));
   const std::string name = model->name();
   models_.emplace(name, std::move(model));
 }

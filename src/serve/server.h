@@ -7,12 +7,12 @@
 //   InferenceResult r = f.get();   // blocked batch-1 output + timings
 //
 // Concurrent submit()s against a model are coalesced by its dynamic
-// micro-batcher (flush on batch-full or deadline) and executed by its
-// worker engines on per-batch-size graph::Executor replicas, each built
-// once per (bucket, options) and all sharing one immutable
-// pre-transformed weight bank per conv. A conv model is a one-layer
-// network, so networks and single convolutions serve through the same
-// path. Results come back as futures.
+// micro-batcher (an idle engine takes the queue once it is full, quiet or
+// old enough) and executed by its one worker engine on its one
+// graph::Executor, compiled at max_batch with one pre-transformed weight
+// bank per conv: a batch of n requests runs exactly n samples. A conv
+// model is a one-layer network, so networks and single convolutions serve
+// through the same path. Results come back as futures.
 // Overload is met with fast rejection (bounded queues); shutdown drains
 // in-flight work by default.
 #pragma once
@@ -42,7 +42,7 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Registers a convolution model and launches its engines. `problem`
+  /// Registers a convolution model and launches its engine. `problem`
   /// describes one sample (its batch field is ignored and treated as 1);
   /// `kernels_blocked` is copied. The model is served as a one-layer
   /// network — F(problem.tile_m) Winograd, no bias, no ReLU — under
@@ -53,8 +53,8 @@ class InferenceServer {
                      const ModelConfig& config = {});
 
   /// Registers a network model. The Sequential is shared (kept alive by
-  /// the server), its weights are reused by every replica — never
-  /// re-randomized — and its own batch size is irrelevant.
+  /// the server), its weights are used as they are — never re-randomized
+  /// — and its own batch size is irrelevant.
   void register_network(const std::string& name,
                         std::shared_ptr<const Sequential> net,
                         const ModelConfig& config = {});

@@ -1,16 +1,18 @@
 // Tests for ondwin::fftconv — the first-class FFT convolution engine —
 // and the calibration plumbing that makes the planner's cost model
 // bandwidth-aware: geometry (overlap-save tiling), oracle agreement on
-// the Tbl.-3-representative shapes, fused epilogues, kernel-bank
-// export/adopt, the AutoConv backend, machine-profile measurement and
-// its "!cal" wisdom persistence.
+// the Tbl.-3-representative shapes, fused epilogues, partial batches on
+// a plan compiled for more samples, the AutoConv backend, machine-profile
+// measurement and its "!cal" wisdom persistence.
 #include "fftconv/fftconv_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -202,48 +204,54 @@ TEST(FftConvPlan, BlockingOverridesAccepted) {
   EXPECT_EQ(plan2.blocking().cp_blk, 64);
 }
 
-// ------------------------------------------------- kernel-bank sharing --
+// ------------------------------------------------ partial batches ------
 
-TEST(FftConvPlan, ExportAdoptAcrossBatchSizes) {
-  const Dims img = {12, 12}, k3 = {3, 3}, p1 = {1, 1};
-  const ConvShape s1 = make_shape(1, 16, 16, img, k3, p1);
-  const ConvShape s4 = make_shape(4, 16, 16, img, k3, p1);
-  const KernelLayout k_l{16, 16, k3};
-  AlignedBuffer<float> w(static_cast<std::size_t>(k_l.total_floats()));
-  Rng rng(0xADB7);
-  for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+// A plan compiled for B samples runs any n ≤ B of them: sample i of every
+// n-sample run is bitwise equal to a batch-1 plan's output for it, with
+// one overlap-save tile per sample and with several (so n · tiles is a
+// multiple of the row block for some n and not for others).
+TEST(FftConvPlan, AnyBatchUpToCompiledMatchesBatchOneBitwise) {
+  for (const Dims img : {Dims{12, 12}, Dims{40, 23}}) {
+    constexpr i64 kB = 4;
+    const Dims k3 = {3, 3}, p1 = {1, 1};
+    SCOPED_TRACE("image " + img.to_string());
+    const ConvShape s1 = make_shape(1, 16, 32, img, k3, p1);
+    const ConvShape sb = make_shape(kB, 16, 32, img, k3, p1);
+    const KernelLayout k_l{16, 32, k3};
+    const ImageLayout in_l(kB, 16, img), out_l(kB, 32, s1.output());
+    AlignedBuffer<float> w(static_cast<std::size_t>(k_l.total_floats()));
+    AlignedBuffer<float> in(static_cast<std::size_t>(in_l.total_floats()));
+    Rng rng(0xADB7);
+    for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+    for (auto& v : in) v = rng.uniform(-0.5f, 0.5f);
+    const std::size_t sin = in.size() / kB;
+    const auto sout = static_cast<std::size_t>(out_l.total_floats() / kB);
 
-  PlanOptions po;
-  po.threads = 1;
-  fftconv::FftConvPlan a(s1, po);
-  a.set_kernels(w.data());
-  const SharedKernels shared = a.export_kernels();
-  ASSERT_NE(shared.data, nullptr);
-
-  fftconv::FftConvPlan b(s4, po);
-  EXPECT_TRUE(b.try_adopt_kernels(shared));  // bank is batch-independent
-  EXPECT_TRUE(b.kernels_ready());
-  EXPECT_EQ(b.export_kernels().data.get(), shared.data.get());  // zero-copy
-
-  // A different kernel size is a different signature: adoption refused.
-  const ConvShape s5 = make_shape(1, 16, 16, img, {5, 5}, {2, 2});
-  fftconv::FftConvPlan c(s5, po);
-  EXPECT_FALSE(c.try_adopt_kernels(shared));
-
-  // The adopted bank computes the same outputs as a set_kernels plan.
-  const ImageLayout in_l(4, 16, img);
-  const ImageLayout out_l(4, 16, img);
-  AlignedBuffer<float> in(static_cast<std::size_t>(in_l.total_floats()));
-  for (auto& v : in) v = rng.uniform(-0.5f, 0.5f);
-  AlignedBuffer<float> out_adopt(
-      static_cast<std::size_t>(out_l.total_floats()));
-  AlignedBuffer<float> out_set(static_cast<std::size_t>(out_l.total_floats()));
-  b.execute_pretransformed(in.data(), out_adopt.data());
-  fftconv::FftConvPlan d(s4, po);
-  d.set_kernels(w.data());
-  d.execute_pretransformed(in.data(), out_set.data());
-  for (std::size_t i = 0; i < out_set.size(); ++i) {
-    ASSERT_EQ(out_adopt[i], out_set[i]) << "index " << i;
+    PlanOptions po;
+    po.threads = 2;
+    fftconv::FftConvPlan one(s1, po);
+    one.set_kernels(w.data());
+    std::vector<float> expected(kB * sout);
+    for (std::size_t i = 0; i < kB; ++i) {
+      one.execute_pretransformed(in.data() + i * sin,
+                                 expected.data() + i * sout);
+    }
+    fftconv::FftConvPlan plan(sb, po);
+    plan.set_kernels(w.data());
+    for (i64 n = kB; n >= 1; --n) {
+      std::vector<float> out(kB * sout, -1.0f);
+      plan.execute_pretransformed(in.data(), out.data(), {}, n);
+      const std::size_t valid = static_cast<std::size_t>(n) * sout;
+      EXPECT_EQ(std::memcmp(out.data(), expected.data(),
+                            valid * sizeof(float)),
+                0)
+          << "n = " << n;
+      // Samples past n are not written.
+      EXPECT_EQ(std::count(out.begin() + static_cast<std::ptrdiff_t>(valid),
+                           out.end(), -1.0f),
+                static_cast<std::ptrdiff_t>(out.size() - valid))
+          << "n = " << n;
+    }
   }
 }
 
@@ -282,7 +290,7 @@ TEST(FftConvPlan, TotalsAndStatuszTrackActivity) {
 
 // ------------------------------------------------------- AutoConv -------
 
-TEST(FftConvAutoConv, BackendMatchesDirectAndSharesBank) {
+TEST(FftConvAutoConv, BackendMatchesDirect) {
   const ConvShape s = make_shape(2, 16, 16, {14, 14}, {5, 5}, {2, 2});
   const ImageLayout in_l(s.batch, s.in_channels, s.image);
   const ImageLayout out_l(s.batch, s.out_channels, s.output());
@@ -312,16 +320,12 @@ TEST(FftConvAutoConv, BackendMatchesDirectAndSharesBank) {
   }
   EXPECT_LT(diff, 1e-3);
 
-  // The FFT backend shares its frequency-domain bank like Winograd does.
   select::SelectedConfig cfg;
   cfg.algorithm = select::Algorithm::kFft;
   select::AutoConv a(s, cfg, po);
+  EXPECT_FALSE(a.kernels_ready());
   a.set_kernels(w.data());
-  const SharedKernels shared = a.export_kernels();
-  ASSERT_NE(shared.data, nullptr);
-  select::AutoConv b(s, cfg, po);
-  EXPECT_TRUE(b.try_adopt_kernels(shared));
-  EXPECT_TRUE(b.kernels_ready());
+  EXPECT_TRUE(a.kernels_ready());
   EXPECT_GT(a.workspace_bytes(), 0);
 }
 

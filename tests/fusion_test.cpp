@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "select/select.h"
@@ -196,6 +198,83 @@ TEST(FusionIdentity, ExplicitBlockSizesMatchBitwise) {
   }
 }
 
+// ------------------------------------------------------ partial batches --
+
+// A plan compiled for B samples runs any n ≤ B of them, staged and fused:
+// sample i of every n-sample run is bitwise equal to a batch-1 plan's
+// output. 30 tiles per sample: with n_blk 8 only n = 4 fills whole row
+// blocks (n·30 = 120), with n_blk 30 every n does. n runs from B down, so
+// the smaller runs find an earlier run's rows in the padded tail of their
+// last row block.
+TEST(FusionPartialBatch, AnyBatchUpToCompiledMatchesBatchOneBitwise) {
+  constexpr i64 kB = 4;
+  const ConvProblem p1 =
+      make_problem(1, 16, 32, {9, 11}, {3, 3}, {1, 1}, {2, 2});
+  ConvProblem pb = p1;
+  pb.shape.batch = kB;
+  ASSERT_EQ(p1.tiles_total(), 30);
+
+  Rng rng(0xBA7C);
+  AlignedBuffer<float> in(
+      static_cast<std::size_t>(pb.input_layout().total_floats()));
+  AlignedBuffer<float> w(
+      static_cast<std::size_t>(pb.kernel_layout().total_floats()));
+  std::vector<float> bias(32);
+  for (auto& v : in) v = rng.uniform(-1.0f, 1.0f);
+  for (auto& v : w) v = rng.uniform(-1.0f, 1.0f);
+  for (auto& v : bias) v = rng.uniform(-0.5f, 0.5f);
+  Epilogue ep;
+  ep.bias = bias.data();
+  ep.relu = true;
+  const std::size_t sin = in.size() / kB;
+  const auto sout =
+      static_cast<std::size_t>(p1.output_layout().total_floats());
+
+  PlanOptions o;
+  o.threads = 2;
+  o.fusion = FusionMode::kStaged;
+  ConvPlan one(p1, o);
+  one.set_kernels(w.data());
+  std::vector<float> expected(kB * sout);
+  for (std::size_t i = 0; i < kB; ++i) {
+    one.execute_pretransformed(in.data() + i * sin,
+                               expected.data() + i * sout, ep);
+  }
+
+  for (const FusionMode mode : {FusionMode::kStaged, FusionMode::kFused}) {
+    for (const int n_blk : {8, 30}) {
+      SCOPED_TRACE(std::string(mode == FusionMode::kFused ? "fused" : "staged") +
+                   " n_blk " + std::to_string(n_blk));
+      o.fusion = mode;
+      o.n_blk = n_blk;
+      ConvPlan plan(pb, o);
+      ASSERT_EQ(plan.fusion_policy().fused, mode == FusionMode::kFused);
+      ASSERT_EQ(plan.blocking().n_blk, n_blk);
+      plan.set_kernels(w.data());
+      for (i64 n = kB; n >= 1; --n) {
+        std::vector<float> out(kB * sout, -7.0f);
+        plan.execute_pretransformed(in.data(), out.data(), ep, n);
+        const std::size_t valid = static_cast<std::size_t>(n) * sout;
+        EXPECT_EQ(std::memcmp(out.data(), expected.data(),
+                              valid * sizeof(float)),
+                  0)
+            << "n = " << n;
+        EXPECT_EQ(std::count(out.begin() + static_cast<std::ptrdiff_t>(valid),
+                             out.end(), -7.0f),
+                  static_cast<std::ptrdiff_t>(out.size() - valid))
+            << "samples past n = " << n << " written";
+        // The transformed-tensor traffic covers the n-sample row blocks.
+        EXPECT_EQ(plan.last_stats().u_bytes,
+                  ceil_div(n * 30, static_cast<i64>(n_blk)) * n_blk * 16 *
+                      16 * static_cast<i64>(sizeof(float)));
+      }
+      EXPECT_THROW(plan.execute_pretransformed(in.data(), expected.data(), ep,
+                                               kB + 1),
+                   Error);
+    }
+  }
+}
+
 // ----------------------------------------------------- policy resolution --
 
 TEST(FusionPolicyTest, ModesResolveAsRequested) {
@@ -220,21 +299,24 @@ TEST(FusionPolicyTest, ModesResolveAsRequested) {
   EXPECT_EQ(fused.fusion_policy().f_blk, 3);
   EXPECT_GT(fused.fusion_policy().scratch_floats, 0);
 
-  // kAuto on a CI-sized shape: intermediates fit the L2, stays staged.
+  // kAuto on a CI-sized shape: one row block for one thread, fused
+  // (measured 0.024 ms staged vs 0.009 ms fused, fused faster in 21 of 21
+  // interleaved rounds).
   PlanOptions a;
   a.threads = 1;
   a.fusion = FusionMode::kAuto;
   ConvPlan auto_plan(p, a);
-  EXPECT_FALSE(auto_plan.fusion_policy().fused);
+  EXPECT_TRUE(auto_plan.fusion_policy().fused);
 }
 
-// The kAuto rule against layers measured staged vs fused (one thread,
-// interleaved runs), with a 2 MiB per-core L2. Fused wins where V̂ and a
-// row block of Û/X̂ stay L2-resident while the staged tensors do not;
-// staged wins where V̂ plus a row block overflows the budget (V̂ would
-// re-stream once per tile block) or everything already fits.
+// The kAuto rule against layers measured staged vs fused: one ConvPlan per
+// mode, 21 interleaved rounds at the layer's batch and thread count (15
+// in a second run, second figure after a semicolon), on a 4-vCPU AVX-512
+// host (medians staged → fused, and the rounds fused won). Every
+// expectation is the measured winner; a tie keeps the rule's pick. The
+// rule fuses when one sample fills a row block per thread and V̂ is
+// under six row blocks' Û+X̂ (R below: V̂ / one row block's Û+X̂).
 TEST(FusionPolicyTest, AutoRuleMatchesMeasuredLayers) {
-  constexpr i64 kL2 = i64{2} << 20;
   struct Layer {
     const char* name;
     ConvProblem p;
@@ -243,24 +325,48 @@ TEST(FusionPolicyTest, AutoRuleMatchesMeasuredLayers) {
   };
   const Dims k2{3, 3}, k3{3, 3, 3};
   const Layer layers[] = {
+      // R 1.1: 6.31 → 4.22 ms, 21/21; 5.53 → 3.43, 15/15
       {"VGG1.2 batch 4", make_problem(4, 64, 64, {56, 56}, k2, {1, 1}, {4, 4}),
        1, true},
+      // 2.15 → 1.27 ms, 21/21; 2.25 → 1.27, 15/15
       {"rpc conv1 batch 8",
        make_problem(8, 32, 64, {32, 32}, k2, {1, 1}, {4, 4}), 1, true},
+      // 3.46 → 2.35 ms, 21/21; 3.53 → 2.33, 15/15
       {"rpc conv2 batch 8",
        make_problem(8, 64, 64, {32, 32}, k2, {1, 1}, {4, 4}), 1, true},
+      // 4.92 → 2.42 ms, 21/21; 4.74 → 2.61, 15/15
       {"unet3d 16->32",
        make_problem(1, 16, 32, {20, 44, 44}, k3, {0, 0, 0}, {2, 4, 4}), 2,
        true},
+      // R 8: 2.25 → 2.23 ms, 12/21; 2.73 → 2.75, 7/15: a tie
       {"VGG 3.2", make_problem(2, 256, 256, {14, 14}, k2, {1, 1}, {4, 4}), 1,
        false},
+      // R 8: 2.26 → 2.71 ms, 3/21; 2.44 → 2.94, 0/15: staged wins
       {"7x7 F(6x6) batch 4",
        make_problem(4, 256, 256, {7, 7}, k2, {1, 1}, {6, 6}), 1, false},
+      // 1.12 → 1.01 ms, 17/21; 1.24 → 1.01, 14/15
       {"unet3d 32->64",
        make_problem(1, 32, 64, {9, 21, 21}, k3, {0, 0, 0}, {2, 4, 4}), 2,
-       false},
+       true},
+      // 0.024 → 0.009 ms, 21/21; 0.021 → 0.007, 15/15
       {"ModesResolveAsRequested shape",
-       make_problem(1, 16, 16, {10, 10}, k2, {1, 1}, {2, 2}), 1, false},
+       make_problem(1, 16, 16, {10, 10}, k2, {1, 1}, {2, 2}), 1, true},
+      // R 4: 0.45 → 0.32 ms, 19/21; 0.37 → 0.24, 15/15: the rpc net's
+      // last layer at batch 1
+      {"rpc conv4 batch 1",
+       make_problem(1, 128, 128, {16, 16}, k2, {1, 1}, {4, 4}), 1, true},
+      // R 5.3: 2.36 → 2.16 ms, 17/21; 2.70 → 2.51, 11/15
+      {"VGG 128->256 @14 batch 4",
+       make_problem(4, 128, 256, {14, 14}, k2, {1, 1}, {4, 4}), 1, true},
+      // One row block, two threads: one would idle, stays staged.
+      {"ModesResolveAsRequested shape, 2 threads",
+       make_problem(1, 16, 16, {10, 10}, k2, {1, 1}, {2, 2}), 2, false},
+      // Compiled for 8 samples at 4 threads, one row block per sample: a
+      // lone sample runs 0.154 ms staged vs 0.315 fused (0/15). The full
+      // batch would fuse faster (0.97 → 0.75 ms, 13/15); a served plan
+      // runs both, and the lone request is the latency path.
+      {"rpc conv4 batch 8, 4 threads",
+       make_problem(8, 128, 128, {16, 16}, k2, {1, 1}, {4, 4}), 4, false},
   };
   for (const Layer& l : layers) {
     SCOPED_TRACE(l.name);
@@ -271,7 +377,7 @@ TEST(FusionPolicyTest, AutoRuleMatchesMeasuredLayers) {
     o.fusion = FusionMode::kFused;
     const Blocking b = ConvPlan(l.p, o).blocking();
     const FusionPolicy f = ConvPlan::choose_fusion(
-        l.p, b, l.threads, kL2, FusionMode::kAuto, Precision::kFp32);
+        l.p, b, l.threads, FusionMode::kAuto, Precision::kFp32);
     EXPECT_EQ(f.fused, l.fused);
     if (f.fused) {
       EXPECT_GE(f.blocks, l.threads);
@@ -286,7 +392,6 @@ TEST(FusionPolicyTest, AutoRuleMatchesMeasuredLayers) {
 // (PlanOptions::fuse_blk / wisdom), and a pinned f_blk is clamped to the
 // grid.
 TEST(FusionPolicyTest, BlockSizeDefaultsToOneRowBlock) {
-  constexpr i64 kL2 = i64{2} << 20;
   const ConvProblem p =
       make_problem(1, 16, 32, {20, 44, 44}, {3, 3, 3}, {0, 0, 0}, {2, 4, 4});
   PlanOptions o;
@@ -295,24 +400,23 @@ TEST(FusionPolicyTest, BlockSizeDefaultsToOneRowBlock) {
   Blocking b = ConvPlan(p, o).blocking();
   const i64 row_blocks =
       ceil_div(p.tiles_total() * p.shape.batch, static_cast<i64>(b.n_blk));
-  FusionPolicy f = ConvPlan::choose_fusion(p, b, 1, kL2, FusionMode::kAuto,
+  FusionPolicy f = ConvPlan::choose_fusion(p, b, 1, FusionMode::kAuto,
                                            Precision::kFp32);
   ASSERT_TRUE(f.fused);
   EXPECT_EQ(f.f_blk, 1);
   EXPECT_EQ(f.blocks, row_blocks);
   // Fewer tile blocks than threads: some threads would idle, stay staged.
   EXPECT_FALSE(ConvPlan::choose_fusion(p, b, static_cast<int>(row_blocks) + 1,
-                                       kL2, FusionMode::kAuto,
-                                       Precision::kFp32)
+                                       FusionMode::kAuto, Precision::kFp32)
                    .fused);
 
   b.f_blk = 2;
-  f = ConvPlan::choose_fusion(p, b, 1, kL2, FusionMode::kFused,
+  f = ConvPlan::choose_fusion(p, b, 1, FusionMode::kFused,
                               Precision::kFp32);
   EXPECT_EQ(f.f_blk, 2);
   EXPECT_EQ(f.blocks, ceil_div(row_blocks, 2));
   b.f_blk = 100000;
-  f = ConvPlan::choose_fusion(p, b, 1, kL2, FusionMode::kFused,
+  f = ConvPlan::choose_fusion(p, b, 1, FusionMode::kFused,
                               Precision::kFp32);
   EXPECT_EQ(f.f_blk, row_blocks);
   EXPECT_EQ(f.blocks, 1);

@@ -6,6 +6,7 @@
 // nodes alike, standalone and through the serving tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -588,6 +589,101 @@ TEST(GraphMixedBackend, FftAndDirectLayersLowerFuseAndServe) {
               kGraphTolerance)
         << "served sample " << s;
   }
+}
+
+// ------------------------------------------------------ partial batches
+
+/// One network at `batch` samples, `backend` picking its convolutions:
+/// "fft", "direct", or "mixed" (Winograd with a folded bias/relu, FFT, a
+/// residual add, direct, and a standalone pool). Conv weights are
+/// deterministic in the node id, so every batch gets the same ones.
+Graph partial_batch_net(i64 batch, const std::string& backend) {
+  select::SelectedConfig fft, direct, wino;
+  fft.algorithm = select::Algorithm::kFft;
+  direct.algorithm = select::Algorithm::kDirect;
+  wino.tile_m = {4, 4};
+  const auto pick = [&](const select::SelectedConfig& mixed) {
+    return backend == "fft" ? fft : backend == "direct" ? direct : mixed;
+  };
+  std::vector<float> bias(32);
+  for (std::size_t i = 0; i < bias.size(); ++i) {
+    bias[i] = 0.01f * static_cast<float>(i) - 0.1f;
+  }
+  Graph g(batch, 16, {12, 12});
+  ValueId v = g.conv(g.input(), 32, {3, 3}, {1, 1}, pick(wino));
+  v = g.relu(g.bias(v, bias.data()));
+  const ValueId skip = v;
+  v = g.conv(v, 32, {5, 5}, {2, 2}, pick(fft));
+  v = g.eltwise_add(v, skip);
+  v = g.conv(v, 16, {3, 3}, {1, 1}, pick(direct));
+  v = g.relu(g.max_pool(v, 2));
+  g.mark_output(v);
+  return g;
+}
+
+// An executor compiled for B samples runs any n ≤ B of them: sample i of
+// every n-sample run is bitwise equal to a batch-1 executor's output, on
+// FFT, direct and mixed networks.
+TEST(GraphPartialBatch, AnyBatchUpToCompiledMatchesBatchOneBitwise) {
+  constexpr i64 kB = 3;
+  for (const std::string backend : {"fft", "direct", "mixed"}) {
+    SCOPED_TRACE(backend);
+    CompileOptions copts;
+    copts.plan = two_threads();
+    Executor one(partial_batch_net(1, backend), copts);
+    Executor exec(partial_batch_net(kB, backend), copts);
+    ASSERT_EQ(exec.batch(), kB);
+    const auto sin = static_cast<std::size_t>(one.input_layout().total_floats());
+    const auto sout =
+        static_cast<std::size_t>(one.output_layout().total_floats());
+    AlignedBuffer<float> in;
+    fill_random(in, kB * sin, 0x9A27);
+    std::vector<float> expected(kB * sout);
+    for (std::size_t i = 0; i < kB; ++i) {
+      one.execute(in.data() + i * sin, expected.data() + i * sout);
+    }
+    for (i64 n = kB; n >= 1; --n) {
+      std::vector<float> out(kB * sout, -7.0f);
+      exec.execute(in.data(), out.data(), n);
+      const std::size_t valid = static_cast<std::size_t>(n) * sout;
+      EXPECT_EQ(
+          std::memcmp(out.data(), expected.data(), valid * sizeof(float)), 0)
+          << "n = " << n;
+      EXPECT_EQ(std::count(out.begin() + static_cast<std::ptrdiff_t>(valid),
+                           out.end(), -7.0f),
+                static_cast<std::ptrdiff_t>(out.size() - valid))
+          << "samples past n = " << n << " written";
+    }
+    EXPECT_THROW(exec.execute(in.data(), expected.data(), kB + 1), Error);
+  }
+}
+
+// Attribution counts the samples an execution ran, not the compiled
+// batch: half the samples, half the conv flops and activation bytes; the
+// weight bytes stay.
+TEST(GraphPartialBatch, AttributionScalesWithExecutedSamples) {
+  Graph g(4, 16, {8, 8});
+  g.mark_output(g.conv(g.input(), 32, {3, 3}, {1, 1}, Dims{2, 2}));
+  const double weight_bytes =
+      static_cast<double>(g.nodes()[0].problem.kernel_layout().total_floats()) *
+      sizeof(float);
+  CompileOptions copts;
+  copts.plan = one_thread();
+  Executor exec(std::move(g), copts);
+  AlignedBuffer<float> in, out(
+      static_cast<std::size_t>(exec.output_layout().total_floats()));
+  fill_random(in, static_cast<std::size_t>(exec.input_layout().total_floats()),
+              0xA77);
+
+  exec.execute(in.data(), out.data(), 4);
+  const std::vector<Executor::NodeAttr> full = exec.attribution();
+  exec.execute(in.data(), out.data(), 2);
+  const std::vector<Executor::NodeAttr> half = exec.attribution();
+  ASSERT_EQ(full.size(), 1u);
+  ASSERT_EQ(half.size(), 1u);
+  EXPECT_EQ(full[0].flops, 2.0 * 4 * 16 * 32 * 64 * 9);
+  EXPECT_EQ(half[0].flops, full[0].flops / 2);
+  EXPECT_EQ(half[0].bytes - weight_bytes, (full[0].bytes - weight_bytes) / 2);
 }
 
 }  // namespace

@@ -343,21 +343,9 @@ TEST(MemInvisibility, FirstTouchRunsOnlyWhenAsked) {
   EXPECT_EQ(without.first_touch_seconds(), 0.0);
 }
 
-TEST(MemInvisibility, OptionsFingerprintKeysOnMemOptions) {
-  // pooled_workspace / numa_first_touch participate in plan identity: a
-  // pooled replica must never be served to a legacy-allocation caller.
-  PlanOptions a;
-  PlanOptions b = a;
-  b.pooled_workspace = !a.pooled_workspace;
-  EXPECT_NE(plan_options_fingerprint(a), plan_options_fingerprint(b));
-  PlanOptions c = a;
-  c.numa_first_touch = !a.numa_first_touch;
-  EXPECT_NE(plan_options_fingerprint(a), plan_options_fingerprint(c));
-}
-
 TEST(MemPoolIntegration, PlanReconstructionHitsThePool) {
-  // Constructing the same staged shape repeatedly (tuner / replica
-  // rebuild pattern) must recycle slabs from the global pool.
+  // Constructing the same staged shape repeatedly (the tuner's rebuild
+  // pattern) must recycle slabs from the global pool.
   const ConvProblem p = make_problem(2, 32, 32, {24, 24}, {3, 3}, {1, 1},
                                      {2, 2});
   PlanOptions opts;

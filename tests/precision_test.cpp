@@ -7,8 +7,8 @@
 //     bf16/fp16 storage, run-to-run determinism, and measured error
 //     within the planner's storage-error proxy;
 //   * planning — resolve_storage_precision admit/demote, select_config
-//     never emitting a budget-violating precision, precision-aware
-//     plan-options fingerprints, and the wisdom v2 `prec=` token
+//     never emitting a budget-violating precision, and the wisdom v2
+//     `prec=` token
 //     (round-trip, optional/malformed parsing, v1-store preservation,
 //     stale-precision fallback to re-selection).
 #include "util/precision.h"
@@ -568,21 +568,6 @@ TEST(Planning, SelectNeverEmitsBudgetViolatingPrecision) {
   o.max_storage_err = 0.0;
   const select::SelectedConfig demoted = select::select_config(s, o);
   EXPECT_EQ(demoted.precision, Precision::kFp32);
-}
-
-TEST(Planning, FingerprintDistinguishesPrecisions) {
-  PlanOptions f32, b16, f16;
-  b16.precision = Precision::kBf16;
-  f16.precision = Precision::kFp16;
-  const std::string a = plan_options_fingerprint(f32);
-  const std::string b = plan_options_fingerprint(b16);
-  const std::string c = plan_options_fingerprint(f16);
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_NE(b, c);
-  // The token is self-describing, so cache dumps stay debuggable.
-  EXPECT_NE(b.find("bf16"), std::string::npos);
-  EXPECT_NE(c.find("fp16"), std::string::npos);
 }
 
 // ------------------------------------------------------ wisdom v2 -------

@@ -322,8 +322,9 @@ TEST(SelectSequential, AutoLayerMatchesFixedLayer) {
 // ------------------------------------------------------------- serving ---
 
 // A planner-chosen conv model is a one-layer add_conv_auto network:
-// served with register_network, it re-selects per bucket and must agree
-// with the fixed Winograd conv model on the same weights.
+// served with register_network, it selects once, at max_batch, for the
+// model's one executor and must agree with the fixed Winograd conv model
+// on the same weights.
 TEST(SelectServe, AutoSelectModelMatchesFixedModel) {
   TempFile f;
   ConvProblem p;
@@ -372,7 +373,7 @@ TEST(SelectServe, AutoSelectModelMatchesFixedModel) {
   // The decision is in wisdom v2: a re-registered server serves the same
   // shape without re-measurement (the short-circuit itself is covered by
   // SelectConfig.SecondCallServedFromWisdomWithoutMeasurement; here we
-  // just confirm the record exists for the served bucket).
+  // just confirm the record exists for the served max_batch shape).
   select::WisdomV2Store store(f.path());
   EXPECT_GE(store.size(), 1u);
 }

@@ -1,7 +1,7 @@
 // End-to-end tests of the ondwin::serve runtime: bitwise correctness of
-// batched serving vs direct plan execution, micro-batcher flush/overflow
-// semantics, replica deduplication under concurrency, shared transformed
-// kernels across buckets, and graceful shutdown draining.
+// batched serving vs direct plan execution at every batch size up to
+// max_batch, micro-batcher flush/overflow semantics, one executor compile
+// per model under concurrency, and graceful shutdown draining.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -62,8 +62,8 @@ void fill_random(AlignedBuffer<float>& buf, std::size_t floats, u64 seed) {
 // per-output-element accumulation order is independent of the batch
 // dimension, so coalescing requests into micro-batches must not perturb a
 // single bit (the served one-layer net adds a zero bias, which is exact
-// for every nonzero output). 8 concurrent clients also race the replica
-// map: each (bucket, options) replica must be compiled exactly once.
+// for every nonzero output). 8 concurrent clients also race the model's
+// first batch: its one executor must be compiled exactly once.
 TEST(ServeConv, BatchedBitwiseIdenticalAndReplicasDedup) {
   const ConvProblem p = sample_problem();
   const std::size_t sin =
@@ -135,11 +135,8 @@ TEST(ServeConv, BatchedBitwiseIdenticalAndReplicasDedup) {
   EXPECT_GE(m.batches, 1u);
   EXPECT_LE(m.batches, static_cast<u64>(kSamples));
 
-  // Dedup: at most one replica per batch-size bucket (1, 2, 4) was ever
-  // compiled, however many clients raced for it.
-  const u64 compiles = graph_compiles() - compiles_before;
-  EXPECT_GE(compiles, 1u);
-  EXPECT_LE(compiles, 3u);
+  // One executor serves every batch size, however many clients raced.
+  EXPECT_EQ(graph_compiles() - compiles_before, 1u);
 }
 
 // Requests queued behind a busy engine leave as max_batch-sized batches
@@ -492,8 +489,10 @@ TEST(ServeServer, RegistryErrors) {
   EXPECT_THROW(server.submit("nope", input.data()), Error);
 }
 
-// Serving a whole network (conv+bias+ReLU+pool) in batches matches a
-// batch-1 executor compiled from the base network bit for bit.
+// Serving a whole network (conv+bias+ReLU+pool) in batches of every size
+// n in 1..max_batch matches a batch-1 executor compiled from the base
+// network bit for bit. The engine is parked while each batch's n requests
+// queue, so it takes exactly those n as one batch.
 TEST(ServeNetwork, MatchesBatchOneExecutorBitwise) {
   auto base = std::make_shared<Sequential>(1, 16, Dims{8, 8}, one_thread());
   base->add_conv(16, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
@@ -524,99 +523,35 @@ TEST(ServeNetwork, MatchesBatchOneExecutorBitwise) {
   InferenceServer server;
   ModelConfig config;
   config.batching.max_batch = 4;
-  config.batching.max_delay_ms = 1.0;
   config.plan = one_thread();
   server.register_network("net", base, config);
 
-  std::vector<ResultFuture> futures;
-  for (int s = 0; s < kSamples; ++s) {
-    futures.push_back(
-        server.submit("net", inputs[static_cast<std::size_t>(s)].data()));
+  // Up to max_batch and back down: the smaller batches then find a larger
+  // one's rows in the executor's buffers.
+  int s = 0;
+  for (const int n : {1, 2, 3, 4, 3, 2, 1}) {
+    EngineParker parker(server, "net");
+    std::vector<ResultFuture> futures;
+    for (int i = 0; i < n; ++i) {
+      futures.push_back(server.submit(
+          "net", inputs[static_cast<std::size_t>((s + i) % kSamples)].data()));
+    }
+    parker.wait_queued(n);
+    parker.release();
+    for (int i = 0; i < n; ++i) {
+      InferenceResult r = futures[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(r.output.size(), sout);
+      EXPECT_EQ(r.batch_size, n);
+      EXPECT_EQ(std::memcmp(r.output.data(),
+                            expected[static_cast<std::size_t>((s + i) %
+                                                              kSamples)]
+                                .data(),
+                            sout * sizeof(float)),
+                0)
+          << "batch of " << n << ", request " << i;
+    }
+    s += n;
   }
-  for (int s = 0; s < kSamples; ++s) {
-    InferenceResult r = futures[static_cast<std::size_t>(s)].get();
-    ASSERT_EQ(r.output.size(), sout);
-    EXPECT_EQ(std::memcmp(r.output.data(),
-                          expected[static_cast<std::size_t>(s)].data(),
-                          sout * sizeof(float)),
-              0)
-        << "sample " << s;
-  }
-}
-
-// Checks that `model`'s bucket-8 replica adopted the bucket-1 replica's
-// transformed kernel bank for every one of its `convs` conv steps, that
-// only the adopter dropped its untransformed weights, and that each row
-// of a full batch-8 execution equals its batch-1 execution bitwise.
-void expect_buckets_share_kernels(Model& model, const PlanOptions& plan,
-                                  int convs) {
-  const Model::Replica r1 = model.replica(1, plan);
-  const Model::Replica r8 = model.replica(8, plan);
-  ASSERT_NE(r1.graph, nullptr);
-  ASSERT_NE(r8.graph, nullptr);
-  ASSERT_NE(r1.graph, r8.graph);
-  ASSERT_EQ(r1.graph->step_count(), r8.graph->step_count());
-  int seen = 0;
-  for (std::size_t i = 0; i < r1.graph->step_count(); ++i) {
-    const select::AutoConv* a = r1.graph->step_conv(i);
-    const select::AutoConv* b = r8.graph->step_conv(i);
-    ASSERT_EQ(a == nullptr, b == nullptr) << "step " << i;
-    if (a == nullptr) continue;
-    ++seen;
-    const SharedKernels wa = a->export_kernels();
-    ASSERT_NE(wa.data, nullptr) << "step " << i;
-    EXPECT_EQ(wa.data.get(), b->export_kernels().data.get()) << "step " << i;
-    const std::size_t node =
-        static_cast<std::size_t>(r1.graph->fusion().steps[i].node);
-    EXPECT_GT(r1.graph->graph().nodes()[node].weights.size(), 0u)
-        << "step " << i;
-    EXPECT_EQ(r8.graph->graph().nodes()[node].weights.size(), 0u)
-        << "step " << i;
-  }
-  EXPECT_EQ(seen, convs);
-
-  // The adopted banks compute what the owning replica computes.
-  const std::size_t sin =
-      static_cast<std::size_t>(model.sample_input_floats());
-  const std::size_t sout =
-      static_cast<std::size_t>(model.sample_output_floats());
-  AlignedBuffer<float> in8, out8(8 * sout), out1(sout);
-  fill_random(in8, 8 * sin, 0x8A7C);
-  r8.graph->execute(in8.data(), out8.data());
-  for (std::size_t s = 0; s < 8; ++s) {
-    r1.graph->execute(in8.data() + s * sin, out1.data());
-    EXPECT_EQ(std::memcmp(out1.data(), out8.data() + s * sout,
-                          sout * sizeof(float)),
-              0)
-        << "sample " << s;
-  }
-}
-
-// Every batch-size replica adopts the first replica's transformed kernel
-// banks: one W per conv, however many buckets serve — for a network and
-// for a conv model (a one-layer network) alike.
-TEST(ServeNetwork, BucketReplicasShareTransformedKernels) {
-  ModelConfig config;
-  config.batching.max_batch = 8;
-  config.plan = one_thread();
-
-  auto base = std::make_shared<Sequential>(1, 16, Dims{8, 8}, one_thread());
-  base->add_conv(16, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
-  base->add_max_pool(2);
-  base->add_conv(32, {3, 3}, {1, 1}, {2, 2}, /*relu=*/true);
-  Rng rng(0x5A4E);
-  base->randomize_weights(rng);
-  Model net("net", base, config);
-  expect_buckets_share_kernels(net, config.plan, 2);
-
-  const ConvProblem p = sample_problem();
-  AlignedBuffer<float> weights;
-  fill_random(weights,
-              static_cast<std::size_t>(p.kernel_layout().total_floats()),
-              0x5A4F);
-  Model conv("conv", p, weights.data(), config);
-  ASSERT_NE(conv.conv_shape(), nullptr);
-  expect_buckets_share_kernels(conv, config.plan, 1);
 }
 
 // Knob validation fails fast at registration time.
@@ -635,11 +570,6 @@ TEST(ServeConfig, RejectsBadKnobs) {
     ModelConfig config;
     config.batching.max_delay_ms = -1.0;
     EXPECT_THROW(server.register_conv("b", p, weights.data(), config), Error);
-  }
-  {
-    ModelConfig config;
-    config.engines = 0;
-    EXPECT_THROW(server.register_conv("c", p, weights.data(), config), Error);
   }
 }
 
