@@ -8,9 +8,12 @@
 //   direct         optimized direct convolution on the blocked layout
 //                  (stand-in for MKL-DNN-direct / Zlateski [58])
 //   simpleWino     FALCON/early-MKL-DNN-style Winograd F(2,3)
-//   fft            FFT-based convolution (cuDNN-FFT class; CI sizes only —
-//                  its workspace explodes on full sizes, which is itself a
-//                  finding the paper reports for 3D FFT on GPUs)
+//   fft            FFT-based convolution (cuDNN-FFT class): the planner's
+//                  fftconv::FftConvPlan engine (R2C overlap-save, JIT
+//                  complex GEMM) in FX mode on the blocked layout; CI
+//                  sizes only — its frequency-domain kernel bank explodes
+//                  on full sizes, which is itself a finding the paper
+//                  reports for 3D FFT on GPUs
 //   ours F(m,r)    this library, training mode (kernels transformed)
 //   ours F(m,r) FX this library, inference mode (memoized transforms)
 //
@@ -19,8 +22,6 @@
 // imbalance (max/mean task time — §4.5's static-schedule efficiency), and
 // two GFLOP/s figures for the GEMM stage: raw (Winograd MACs actually
 // executed) vs effective (direct-equivalent — the algorithmic saving).
-// When perf_event_open is available, hardware counters (IPC, L1D/LLC
-// misses) are reported for the whole FX timing loop.
 //
 // --obs-overhead runs a smoke check instead of the sweep: the obs tracer
 // must cost <2% on a Fig. 5 layer even when ENABLED (the disabled path —
@@ -49,7 +50,6 @@
 #include <vector>
 
 #include "baseline/direct_conv_blocked.h"
-#include "baseline/fft_conv.h"
 #include "baseline/simple_winograd.h"
 #include "layers.h"
 #include "ondwin/ondwin.h"
@@ -201,15 +201,6 @@ int main(int argc, char** argv) {
   PlanOptions plan_opts;
   plan_opts.precision = prec;
 
-  // Open hardware counters before any plan exists: inherit=1 only covers
-  // threads spawned after the open, and plans spawn their worker pools at
-  // construction.
-  obs::PerfCounterSet perf;
-  if (!perf.available()) {
-    std::printf("(perf counters unavailable: %s)\n",
-                perf.unavailable_reason().c_str());
-  }
-
   const auto layers = table2_layers(full);
   bench::BenchReport report("fig5_layers");
   report.set_precision(precision_name(prec));
@@ -262,7 +253,7 @@ int main(int argc, char** argv) {
            }));
     }
 
-    // --- simple Winograd (plain layout, F(2,...)) and FFT: CI only, the
+    // --- simple Winograd (plain layout, F(2,...)): CI only, the
     // plain-layout buffers at paper sizes do not fit alongside ours ---
     if (!full) {
       std::vector<float> in_p(static_cast<std::size_t>(s.input_floats()));
@@ -279,15 +270,17 @@ int main(int argc, char** argv) {
                wino.execute(in_p.data(), w_p.data(), out_p.data());
              }));
       }
-      // FFT conv holds C·C' frequency-domain kernels of the padded FFT
-      // extent — cap the workspace so the column stays cheap to produce.
-      if (s.in_channels * s.out_channels <= 128 * 128) {
-        FftConv fft(s);
-        fft.set_kernels(w_p.data());
-        emit("fft", bench_secs([&] {
-               fft.execute(in_p.data(), out_p.data());
-             }));
-      }
+    }
+
+    // --- FFT (blocked layout, FX): it holds C·C' frequency-domain
+    // kernels of the FFT grid — CI sizes under a channel cap keep that
+    // bank cheap to produce ---
+    if (!full && s.in_channels * s.out_channels <= 128 * 128) {
+      fftconv::FftConvPlan fft(s, plan_opts);
+      fft.set_kernels(w_b.data());
+      emit("fft", bench_secs([&] {
+             fft.execute_pretransformed(in_b.data(), out_b.data());
+           }));
     }
 
     // --- ours, multiple F(m, r), training and FX ---
@@ -307,12 +300,9 @@ int main(int argc, char** argv) {
            }));
       plan.set_kernels(w_b.data());
 
-      perf.start();
       const double fx_secs = bench_secs([&] {
         plan.execute_pretransformed(in_b.data(), out_b.data());
       });
-      perf.stop();
-      const obs::PerfReading hw = perf.read();
 
       // Reduced runs time the fp32 plan of the same tile as the in-place
       // baseline (same blocking heuristics, same schedule — the storage
@@ -378,20 +368,6 @@ int main(int argc, char** argv) {
                     fx_secs * 1e3, speedup);
         row.set("fp32_ms", fx32_secs * 1e3)
             .set("speedup_vs_fp32", speedup);
-      }
-      if (hw.valid) {
-        std::printf("%18s IPC %.2f  L1D miss/kinst %.2f  LLC miss/kinst "
-                    "%.3f  (whole FX timing loop)\n",
-                    "perf:", hw.ipc(),
-                    1e3 * static_cast<double>(hw.l1d_misses) /
-                        static_cast<double>(hw.instructions),
-                    1e3 * static_cast<double>(hw.llc_misses) /
-                        static_cast<double>(hw.instructions));
-        row.set("ipc", hw.ipc())
-            .set("cycles", static_cast<double>(hw.cycles))
-            .set("instructions", static_cast<double>(hw.instructions))
-            .set("l1d_misses", static_cast<double>(hw.l1d_misses))
-            .set("llc_misses", static_cast<double>(hw.llc_misses));
       }
     }
     std::printf("\n");

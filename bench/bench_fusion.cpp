@@ -8,7 +8,8 @@
 // every bias/relu/pool is its own step, so each intermediate round-trips
 // DRAM) and fused (bias/relu/pool folded into the conv epilogues) — both
 // with intermediates lifetime-planned onto one arena slab, reporting wall
-// time, LLC-miss GB moved per execution, and planned-vs-naive slab bytes.
+// time, the analytic activation GB moved per execution, and
+// planned-vs-naive slab bytes.
 // --xl adds batch-1 large-image chains whose unfused intermediates far
 // exceed the LLC — the regime where skipping the unactivated DRAM
 // round-trip pays the most.
@@ -20,9 +21,8 @@
 //
 //   ms            best-of-N execute_pretransformed wall time
 //   speedup       staged_ms / fused_ms (on the fused row)
-//   LLC miss/ex   hardware LLC misses per execution (perf_event; the
-//                 whole timing loop divided by its iterations)
-//   bytes/flop    LLC-miss bytes (64 B lines) per direct-equivalent FLOP
+//   workspace     the plan's auxiliary buffer MB (fusion shrinks V̂/X̂ to
+//                 per-thread block scratch)
 //
 // Fusion pays exactly where the staged intermediates exceed the LLC — the
 // large-image, batch-1 segmentation layers (FusionNet, 3DUNet). --xl adds
@@ -50,18 +50,13 @@ namespace {
 
 struct ModeResult {
   double best_secs = 0;
-  double llc_miss_per_exec = 0;
-  double l1d_miss_per_exec = 0;
-  bool perf_valid = false;
   ConvPlanStats stats;
   i64 workspace = 0;
   FusionPolicy policy;
 };
 
-// Fixed-iteration timing loop with the perf counters around it: counts
-// divide exactly by the iteration count.
-ModeResult bench_mode(ConvPlan& plan, const float* in, float* out,
-                      obs::PerfCounterSet& perf) {
+// Best-of-N timing loop, N sized to fill ~0.15 s.
+ModeResult bench_mode(ConvPlan& plan, const float* in, float* out) {
   ModeResult r;
   plan.execute_pretransformed(in, out);  // warm-up
   Timer est;
@@ -70,30 +65,22 @@ ModeResult bench_mode(ConvPlan& plan, const float* in, float* out,
   const int iters =
       std::max(3, static_cast<int>(std::ceil(0.15 / std::max(once, 1e-6))));
 
-  perf.start();
   double best = 1e300;
   for (int i = 0; i < iters; ++i) {
     Timer t;
     plan.execute_pretransformed(in, out);
     best = std::min(best, t.seconds());
   }
-  perf.stop();
-  const obs::PerfReading hw = perf.read();
   r.best_secs = best;
-  r.perf_valid = hw.valid;
-  if (hw.valid) {
-    r.llc_miss_per_exec = static_cast<double>(hw.llc_misses) / iters;
-    r.l1d_miss_per_exec = static_cast<double>(hw.l1d_misses) / iters;
-  }
   r.stats = plan.last_stats();
   r.workspace = plan.workspace_bytes();
   r.policy = plan.fusion_policy();
   return r;
 }
 
-// Fixed-iteration timing of an arbitrary whole-network run.
+// Best-of-N timing of an arbitrary whole-network run.
 template <typename Fn>
-ModeResult bench_net(Fn&& run, obs::PerfCounterSet& perf) {
+ModeResult bench_net(Fn&& run) {
   ModeResult r;
   run();  // warm-up
   Timer est;
@@ -101,21 +88,13 @@ ModeResult bench_net(Fn&& run, obs::PerfCounterSet& perf) {
   const double once = est.seconds();
   const int iters =
       std::max(3, static_cast<int>(std::ceil(0.15 / std::max(once, 1e-6))));
-  perf.start();
   double best = 1e300;
   for (int i = 0; i < iters; ++i) {
     Timer t;
     run();
     best = std::min(best, t.seconds());
   }
-  perf.stop();
-  const obs::PerfReading hw = perf.read();
   r.best_secs = best;
-  r.perf_valid = hw.valid;
-  if (hw.valid) {
-    r.llc_miss_per_exec = static_cast<double>(hw.llc_misses) / iters;
-    r.l1d_miss_per_exec = static_cast<double>(hw.l1d_misses) / iters;
-  }
   return r;
 }
 
@@ -123,7 +102,7 @@ ModeResult bench_net(Fn&& run, obs::PerfCounterSet& perf) {
 // edge(s) and writes its output edge in full, so summing the tensor sizes
 // is exactly the DRAM traffic the schedule asks for (caches can only
 // reduce it). Folding a chain deletes the intermediate reads AND writes,
-// which is the GB-moved saving the LLC counters confirm where available.
+// which is the GB-moved saving.
 double step_tensor_gb(const graph::Graph& g,
                       const std::vector<graph::Step>& steps) {
   i64 bytes = 0;
@@ -138,8 +117,7 @@ double step_tensor_gb(const graph::Graph& g,
   return static_cast<double>(bytes) / 1e9;
 }
 
-int run_graph_section(bool xl, const std::string& json_path,
-                      obs::PerfCounterSet& perf) {
+int run_graph_section(bool xl, const std::string& json_path) {
   struct ChainSpec {
     const char* net;
     const char* name;
@@ -174,9 +152,8 @@ int run_graph_section(bool xl, const std::string& json_path,
   std::printf("== cross-layer fusion: conv->relu->pool chains, "
               "graph::Executor unfused vs fused%s ==\n",
               xl ? " (+ XL rows)" : "");
-  std::printf("%-9s %-5s %-8s %10s %8s %10s %12s %10s\n", "net", "chain",
-              "mode", "ms", "speedup", "act GB/ex", "LLCmiss/ex",
-              "LLC GB/ex");
+  std::printf("%-9s %-5s %-8s %10s %8s %10s\n", "net", "chain", "mode", "ms",
+              "speedup", "act GB/ex");
 
   double log_speedup_sum = 0;
   int chain_count = 0, wins_12 = 0, planned_wins = 0;
@@ -225,10 +202,10 @@ int run_graph_section(bool xl, const std::string& json_path,
         step_tensor_gb(unfused.graph(), unfused.fusion().steps);
     const double gb_graph = step_tensor_gb(exec.graph(), exec.fusion().steps);
 
-    const ModeResult rl = bench_net(
-        [&] { unfused.execute(in.data(), out_unfused.data()); }, perf);
-    const ModeResult rg = bench_net(
-        [&] { exec.execute(in.data(), out_graph.data()); }, perf);
+    const ModeResult rl =
+        bench_net([&] { unfused.execute(in.data(), out_unfused.data()); });
+    const ModeResult rg =
+        bench_net([&] { exec.execute(in.data(), out_graph.data()); });
     const double speedup = rl.best_secs / rg.best_secs;
     log_speedup_sum += std::log(speedup);
     ++chain_count;
@@ -236,17 +213,14 @@ int run_graph_section(bool xl, const std::string& json_path,
     const graph::MemoryPlan& mp = exec.memory_plan();
     if (mp.slab_bytes < mp.naive_bytes) ++planned_wins;
 
-    auto llc_gb = [](const ModeResult& r) {
-      return r.perf_valid ? r.llc_miss_per_exec * 64.0 / 1e9 : 0.0;
-    };
     auto print_mode = [&](const char* mode, const ModeResult& r,
                           double spd) {
       const double act_gb = spd > 0 ? gb_graph : gb_unfused;
-      std::printf("%-9s %-5s %-8s %10.2f %8s %10.4f %12.3e %10.4f\n", C.net,
-                  C.name, mode, r.best_secs * 1e3,
+      std::printf("%-9s %-5s %-8s %10.2f %8s %10.4f\n", C.net, C.name, mode,
+                  r.best_secs * 1e3,
                   spd > 0 ? (std::to_string(spd).substr(0, 5) + "x").c_str()
                           : "-",
-                  act_gb, r.llc_miss_per_exec, llc_gb(r));
+                  act_gb);
       bench::BenchReport::Row& row =
           report.row()
               .set("net", C.net)
@@ -254,11 +228,6 @@ int run_graph_section(bool xl, const std::string& json_path,
               .set("mode", mode)
               .set("ms", r.best_secs * 1e3)
               .set("activation_gb_per_exec", act_gb);
-      if (r.perf_valid) {
-        row.set("llc_miss_per_exec", r.llc_miss_per_exec)
-            .set("llc_gb_per_exec", llc_gb(r))
-            .set("l1d_miss_per_exec", r.l1d_miss_per_exec);
-      }
       if (spd > 0) {
         row.set("speedup", spd)
             .set("folded_nodes",
@@ -271,15 +240,6 @@ int run_graph_section(bool xl, const std::string& json_path,
     };
     print_mode("unfused", rl, 0);
     print_mode("fused", rg, speedup);
-    if (rl.perf_valid && rg.perf_valid && rl.llc_miss_per_exec > 0) {
-      std::printf("%24s LLC-miss delta %+.1f%%, slab %.2f MB (naive %.2f "
-                  "MB), %d nodes folded\n",
-                  "",
-                  (rg.llc_miss_per_exec / rl.llc_miss_per_exec - 1.0) * 100,
-                  static_cast<double>(mp.slab_bytes) / (1 << 20),
-                  static_cast<double>(mp.naive_bytes) / (1 << 20),
-                  exec.fusion().folded_nodes);
-    }
   }
 
   const double geomean =
@@ -318,15 +278,7 @@ int main(int argc, char** argv) {
   }
   const std::string json_path = bench::json_flag(argc, argv);
 
-  // Open the counters before any plan exists: inherit=1 only covers
-  // threads spawned after the open, and plans spawn pools at construction.
-  obs::PerfCounterSet perf;
-  if (!perf.available()) {
-    std::printf("(perf counters unavailable: %s)\n",
-                perf.unavailable_reason().c_str());
-  }
-
-  if (graph) return run_graph_section(xl, json_path, perf);
+  if (graph) return run_graph_section(xl, json_path);
 
   auto layers = table2_layers(full);
   if (xl) {
@@ -344,8 +296,8 @@ int main(int argc, char** argv) {
 
   std::printf("== fused vs staged execution (%s sizes%s) ==\n",
               full ? "paper" : "CI", xl ? " + XL rows" : "");
-  std::printf("%-12s %-5s %-7s %10s %8s %12s %11s\n", "net", "layer", "mode",
-              "ms", "speedup", "LLCmiss/ex", "bytes/flop");
+  std::printf("%-12s %-5s %-7s %10s %8s %12s\n", "net", "layer", "mode",
+              "ms", "speedup", "workspace MB");
 
   double log_speedup_sum = 0;
   int layer_count = 0, wins_12 = 0;
@@ -356,7 +308,6 @@ int main(int argc, char** argv) {
     ConvProblem p;
     p.shape = s;
     p.tile_m = Dims::filled(rank, 4);
-    const double direct_flops = 2.0 * static_cast<double>(s.direct_macs());
 
     const ImageLayout in_l{s.batch, s.in_channels, s.image};
     const ImageLayout out_l{s.batch, s.out_channels, s.output()};
@@ -391,26 +342,20 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    const ModeResult rs =
-        bench_mode(staged, in_b.data(), out_staged.data(), perf);
-    const ModeResult rf =
-        bench_mode(fused, in_b.data(), out_fused.data(), perf);
+    const ModeResult rs = bench_mode(staged, in_b.data(), out_staged.data());
+    const ModeResult rf = bench_mode(fused, in_b.data(), out_fused.data());
     const double speedup = rs.best_secs / rf.best_secs;
     log_speedup_sum += std::log(speedup);
     ++layer_count;
     if (speedup >= 1.2) ++wins_12;
 
-    auto bytes_per_flop = [&](const ModeResult& r) {
-      return r.perf_valid ? r.llc_miss_per_exec * 64.0 / direct_flops : 0.0;
-    };
     auto print_mode = [&](const std::string& mode, const ModeResult& r,
                           double spd) {
-      std::printf("%-12s %-5s %-7s %10.2f %8s %12.3e %11.4f\n",
-                  L.net.c_str(), L.name.c_str(), mode.c_str(),
-                  r.best_secs * 1e3,
+      std::printf("%-12s %-5s %-7s %10.2f %8s %12.1f\n", L.net.c_str(),
+                  L.name.c_str(), mode.c_str(), r.best_secs * 1e3,
                   spd > 0 ? (std::to_string(spd).substr(0, 5) + "x").c_str()
                           : "-",
-                  r.llc_miss_per_exec, bytes_per_flop(r));
+                  static_cast<double>(r.workspace) / (1 << 20));
       bench::BenchReport::Row& row =
           report.row()
               .set("net", L.net)
@@ -422,11 +367,6 @@ int main(int argc, char** argv) {
               .set("gemm_ms", r.stats.gemm * 1e3)
               .set("inverse_ms", r.stats.inverse_transform * 1e3)
               .set("fused_accounting", r.stats.fused);
-      if (r.perf_valid) {
-        row.set("llc_miss_per_exec", r.llc_miss_per_exec)
-            .set("l1d_miss_per_exec", r.l1d_miss_per_exec)
-            .set("bytes_per_flop", bytes_per_flop(r));
-      }
       if (spd > 0) row.set("speedup", spd);
       if (r.policy.fused) {
         row.set("f_blk", static_cast<double>(r.policy.f_blk))
@@ -435,15 +375,6 @@ int main(int argc, char** argv) {
     };
     print_mode("staged", rs, 0);
     print_mode("fused", rf, speedup);
-    if (rs.perf_valid && rf.perf_valid && rs.llc_miss_per_exec > 0) {
-      std::printf("%26s LLC-miss delta %+.1f%%, workspace %.1f -> %.1f MB, "
-                  "f_blk %d (%lld blocks)\n", "",
-                  (rf.llc_miss_per_exec / rs.llc_miss_per_exec - 1.0) * 100,
-                  static_cast<double>(rs.workspace) / (1 << 20),
-                  static_cast<double>(rf.workspace) / (1 << 20),
-                  rf.policy.f_blk,
-                  static_cast<long long>(rf.policy.blocks));
-    }
   }
 
   const double geomean =

@@ -19,11 +19,10 @@
 //   recon ms    reconstructing the plan after destroying it — the
 //               tuner/plan-rebuild pattern; the pool turns this into a
 //               free-list hit
-//   reconPF     page faults during that reconstruction (pool hit => ~0)
+//   reconPF     minor page faults during that reconstruction (the
+//               process's getrusage ru_minflt delta; pool hit => ~0)
 //   exec ms     best-of-N execute_pretransformed wall time
-//   dTLB/ex     hardware dTLB load misses per execution (perf_event) —
-//               the hugepage win: 2 MiB pages cut workspace TLB entries
-//               by 512x
+//   PF/ex       minor page faults per execution (steady state => ~0)
 //   huge%       fraction of the plan's workspace slabs the kernel
 //               actually backs with huge pages (/proc/self/smaps; THP is
 //               advisory, so this is measured, not assumed)
@@ -36,8 +35,10 @@
 // The two configurations' outputs are cross-checked bitwise before any
 // timing (the allocator must be invisible to the numerics).
 //
-// perf_event and THP are both frequently unavailable in containers; rows
-// degrade to wall-clock + coverage-only and say so.
+// THP is frequently unavailable in containers; the huge% column then
+// reads 0 and says so honestly.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -56,6 +57,13 @@ using namespace ondwin;
 
 namespace {
 
+// Minor page faults of the whole process (every thread) so far.
+u64 minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<u64>(ru.ru_minflt);
+}
+
 struct ConfigResult {
   double construct_secs = 0;
   double reconstruct_secs = 0;
@@ -63,9 +71,7 @@ struct ConfigResult {
   double first_touch_secs = 0;
   u64 construct_faults = 0;
   u64 reconstruct_faults = 0;
-  double dtlb_per_exec = 0;
   double faults_per_exec = 0;
-  bool perf_valid = false;
   i64 workspace_bytes = 0;
   std::size_t slab_bytes = 0;
   std::size_t hugepage_bytes = 0;
@@ -75,13 +81,12 @@ struct ConfigResult {
 // Runs one allocator configuration on one layer. `out` receives the conv
 // result so the caller can cross-check the two configs bitwise.
 ConfigResult run_config(const ConvProblem& p, const PlanOptions& po,
-                        const float* kernels, const float* in, float* out,
-                        obs::PerfCounterSet& perf) {
+                        const float* kernels, const float* in, float* out) {
   ConfigResult r;
   const mem::WorkspacePool::Stats pool0 = mem::WorkspacePool::global().stats();
 
   // First construction: slab allocation + (mem config) first-touch.
-  const obs::PerfReading c0 = perf.read();
+  const u64 c0 = minor_faults();
   {
     Timer t;
     ConvPlan warm(p, po);
@@ -91,13 +96,13 @@ ConfigResult run_config(const ConvProblem& p, const PlanOptions& po,
 
   // Reconstruction after teardown — the tuner / plan-rebuild pattern.
   // With the pool this is a size-class hit: no mmap, no page faults.
-  const obs::PerfReading c1 = perf.read();
+  const u64 c1 = minor_faults();
   Timer rt;
   ConvPlan plan(p, po);
   r.reconstruct_secs = rt.seconds();
-  const obs::PerfReading c2 = perf.read();
-  r.construct_faults = c1.since(c0).page_faults;
-  r.reconstruct_faults = c2.since(c1).page_faults;
+  const u64 c2 = minor_faults();
+  r.construct_faults = c1 - c0;
+  r.reconstruct_faults = c2 - c1;
 
   plan.set_kernels(kernels);
   plan.execute_pretransformed(in, out);  // warm-up + output for the check
@@ -107,20 +112,15 @@ ConfigResult run_config(const ConvProblem& p, const PlanOptions& po,
   const int iters =
       std::max(3, static_cast<int>(std::ceil(0.15 / std::max(once, 1e-6))));
 
-  const obs::PerfReading e0 = perf.read();
+  const u64 e0 = minor_faults();
   double best = 1e300;
   for (int i = 0; i < iters; ++i) {
     Timer t;
     plan.execute_pretransformed(in, out);
     best = std::min(best, t.seconds());
   }
-  const obs::PerfReading exec = perf.read().since(e0);
+  r.faults_per_exec = static_cast<double>(minor_faults() - e0) / iters;
   r.best_exec_secs = best;
-  r.perf_valid = exec.valid;
-  if (exec.valid) {
-    r.dtlb_per_exec = static_cast<double>(exec.dtlb_misses) / iters;
-    r.faults_per_exec = static_cast<double>(exec.page_faults) / iters;
-  }
   r.workspace_bytes = plan.workspace_bytes();
   r.slab_bytes = plan.workspace_slab_bytes();
   r.hugepage_bytes = plan.workspace_hugepage_bytes();
@@ -137,27 +137,18 @@ int main(int argc, char** argv) {
   }
   const std::string json_path = bench::json_flag(argc, argv);
 
-  // Open the counters before any plan exists: inherit=1 only covers
-  // threads spawned after the open, and plans spawn pools at construction.
-  obs::PerfCounterSet perf;
-  perf.start();
-  if (!perf.available()) {
-    std::printf("(perf counters unavailable: %s)\n",
-                perf.unavailable_reason().c_str());
-  }
-
   const auto layers = table2_layers(full);
   bench::BenchReport report("mem");
   Rng rng(2026);
 
   std::printf("== workspace pool + hugepages vs baseline (%s sizes) ==\n",
               full ? "paper" : "CI");
-  std::printf("%-10s %-5s %-9s %8s %9s %8s %9s %12s %6s\n", "net", "layer",
-              "config", "cons ms", "recon ms", "reconPF", "exec ms",
-              "dTLB/ex", "huge%");
+  std::printf("%-10s %-5s %-9s %8s %9s %8s %9s %8s %6s\n", "net", "layer",
+              "config", "cons ms", "recon ms", "reconPF", "exec ms", "PF/ex",
+              "huge%");
 
-  double log_dtlb_sum = 0, log_recon_sum = 0;
-  int dtlb_count = 0, recon_count = 0;
+  double log_recon_sum = 0;
+  int recon_count = 0;
 
   for (const auto& L : layers) {
     const ConvShape& s = L.shape;
@@ -185,7 +176,7 @@ int main(int argc, char** argv) {
     base_po.pooled_workspace = false;
     base_po.numa_first_touch = false;
     const ConfigResult rb = run_config(p, base_po, w_b.data(), in_b.data(),
-                                       out_base.data(), perf);
+                                       out_base.data());
 
     // Mem phase: arena defaults plus an opt-in to the explicit hugetlb
     // reserve. Hosts without one (HugePages_Total=0) fall back to THP
@@ -195,7 +186,7 @@ int main(int argc, char** argv) {
     setenv("ONDWIN_HUGETLB", "1", 1);
     const PlanOptions mem_po;  // pooled + first-touch are the defaults
     const ConfigResult rm = run_config(p, mem_po, w_b.data(), in_b.data(),
-                                       out_mem.data(), perf);
+                                       out_mem.data());
     unsetenv("ONDWIN_HUGETLB");
 
     if (std::memcmp(out_base.data(), out_mem.data(),
@@ -214,13 +205,12 @@ int main(int argc, char** argv) {
           r.slab_bytes > 0 ? 100.0 * static_cast<double>(r.hugepage_bytes) /
                                  static_cast<double>(r.slab_bytes)
                            : 0.0;
-      std::printf("%-10s %-5s %-9s %8.2f %9.3f %8llu %9.2f %12.3e %5.1f%%\n",
+      std::printf("%-10s %-5s %-9s %8.2f %9.3f %8llu %9.2f %8.1f %5.1f%%\n",
                   L.net.c_str(), L.name.c_str(), config,
                   r.construct_secs * 1e3, r.reconstruct_secs * 1e3,
                   static_cast<unsigned long long>(r.reconstruct_faults),
-                  r.best_exec_secs * 1e3, r.dtlb_per_exec, huge_pct);
-      bench::BenchReport::Row& row =
-          report.row()
+                  r.best_exec_secs * 1e3, r.faults_per_exec, huge_pct);
+      report.row()
               .set("net", L.net)
               .set("layer", L.name)
               .set("config", config)
@@ -232,43 +222,28 @@ int main(int argc, char** argv) {
               .set("hugepage_bytes", static_cast<double>(r.hugepage_bytes))
               .set("hugepage_pct", huge_pct)
               .set("first_touch_ms", r.first_touch_secs * 1e3)
-              .set("pool_hits", static_cast<double>(r.pool_hits));
-      if (r.perf_valid) {
-        row.set("construct_page_faults",
-                static_cast<double>(r.construct_faults))
-            .set("reconstruct_page_faults",
-                 static_cast<double>(r.reconstruct_faults))
-            .set("dtlb_miss_per_exec", r.dtlb_per_exec)
-            .set("page_faults_per_exec", r.faults_per_exec);
-      }
+              .set("pool_hits", static_cast<double>(r.pool_hits))
+              .set("construct_page_faults",
+                   static_cast<double>(r.construct_faults))
+              .set("reconstruct_page_faults",
+                   static_cast<double>(r.reconstruct_faults))
+              .set("page_faults_per_exec", r.faults_per_exec);
     };
     emit("baseline", rb);
     emit("mem", rm);
 
-    if (rb.perf_valid && rm.perf_valid && rm.dtlb_per_exec > 0 &&
-        rb.dtlb_per_exec > 0) {
-      const double dtlb_ratio = rb.dtlb_per_exec / rm.dtlb_per_exec;
-      log_dtlb_sum += std::log(dtlb_ratio);
-      ++dtlb_count;
-      std::printf("%27s dTLB-miss x%.2f lower, recon faults %llu -> %llu, "
-                  "pool hits +%llu\n",
-                  "", dtlb_ratio,
-                  static_cast<unsigned long long>(rb.reconstruct_faults),
-                  static_cast<unsigned long long>(rm.reconstruct_faults),
-                  static_cast<unsigned long long>(rm.pool_hits));
-    }
+    std::printf("%27s recon faults %llu -> %llu, pool hits +%llu\n", "",
+                static_cast<unsigned long long>(rb.reconstruct_faults),
+                static_cast<unsigned long long>(rm.reconstruct_faults),
+                static_cast<unsigned long long>(rm.pool_hits));
     if (rb.reconstruct_secs > 0 && rm.reconstruct_secs > 0) {
       log_recon_sum += std::log(rb.reconstruct_secs / rm.reconstruct_secs);
       ++recon_count;
     }
   }
 
-  if (dtlb_count > 0) {
-    std::printf("\ngeomean dTLB-miss reduction: x%.2f over %d layers\n",
-                std::exp(log_dtlb_sum / dtlb_count), dtlb_count);
-  }
   if (recon_count > 0) {
-    std::printf("geomean plan-reconstruction speedup: x%.2f\n",
+    std::printf("\ngeomean plan-reconstruction speedup: x%.2f\n",
                 std::exp(log_recon_sum / recon_count));
   }
   const mem::WorkspacePool::Stats ps = mem::WorkspacePool::global().stats();
@@ -282,11 +257,8 @@ int main(int argc, char** argv) {
       .set("net", "_summary")
       .set("layer", "-")
       .set("config", "-")
-      .set("geomean_dtlb_reduction",
-           dtlb_count > 0 ? std::exp(log_dtlb_sum / dtlb_count) : 0.0)
       .set("geomean_reconstruct_speedup",
            recon_count > 0 ? std::exp(log_recon_sum / recon_count) : 0.0)
-      .set("perf_layers", static_cast<double>(dtlb_count))
       .set("pool_hit_rate", ps.hit_rate())
       .set("pool_hits", static_cast<double>(ps.hits))
       .set("pool_misses", static_cast<double>(ps.misses));

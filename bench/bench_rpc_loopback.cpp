@@ -1,24 +1,24 @@
-// Distributed-serving loopback benchmark: 1 router + 2 backend PROCESSES
-// over unix sockets, on the same machine, against the in-proc batched
-// serving rate as the baseline.
+// Network-serving loopback benchmark: this driver process plus one forked
+// backend PROCESS over a unix socket, on the same machine, against the
+// in-proc batched serving rate as the baseline.
 //
 // Three phases:
 //   1. in_proc     — closed-loop batched serving inside this process
 //                    (the bench_serve_throughput steady-state regime).
 //   2. rpc_loopback— the same closed loop, but every request crosses a
-//                    unix socket into one of two forked backend processes
-//                    through a ShardRouter (replication 2, least-loaded).
-//                    The target is >= 0.8x of phase 1: framing, epoll and
-//                    process hops must stay small against the conv work.
+//                    unix socket into the backend process through one
+//                    pipelined RpcClient connection. The target is >= 0.8x
+//                    of phase 1: framing, epoll and the process hop must
+//                    stay small against the conv work.
 //   3. rpc_overload— open-loop at ~2x the measured loopback capacity with
-//                    a per-request deadline equal to the backends' SLO.
+//                    a per-request deadline equal to the backend's SLO.
 //                    Admission control must shed EARLY (reject at accept
 //                    time, microseconds) so that the requests it does
 //                    admit still meet the SLO: the report records the
 //                    shed rate and the admitted p99 against the SLO.
 //
 // Backend mode (`--backend <socket>`) serves one model until stdin hits
-// EOF — the driver owns the pipe, so backends die with the driver.
+// EOF — the driver owns the pipe, so the backend dies with the driver.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!backend_path.empty()) return run_backend(backend_path, backend_index);
-  obs::Tracer::instance().set_process_name("router");
+  obs::Tracer::instance().set_process_name("driver");
   const std::string json_path = ondwin::bench::json_flag(argc, argv);
 
   const ConvProblem p = serving_problem();
@@ -200,14 +200,12 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(p.kernel_layout().total_floats()), 1);
   fill_random(input, sin, 2);
 
-  // Spawn the backend fleet FIRST (fork before this process has served
-  // anything); they idle in epoll_wait during phase 1.
-  const std::string base =
-      "/tmp/ondwin_bench_rpc_" + std::to_string(::getpid());
-  std::vector<BackendProc> backends;
-  backends.push_back(spawn_backend(argv[0], base + "_0.sock", 0));
-  backends.push_back(spawn_backend(argv[0], base + "_1.sock", 1));
-  for (const BackendProc& b : backends) wait_ready(b.path);
+  // Spawn the backend FIRST (fork before this process has served
+  // anything); it idles in epoll_wait during phase 1.
+  const std::string sock =
+      "/tmp/ondwin_bench_rpc_" + std::to_string(::getpid()) + "_0.sock";
+  BackendProc backend = spawn_backend(argv[0], sock, 0);
+  wait_ready(backend.path);
 
   constexpr int kRequests = 2048;
   constexpr int kWindow = 8 * kMaxBatch;
@@ -239,27 +237,21 @@ int main(int argc, char** argv) {
     server.stop();
   }
 
-  // --- phase 2: router + 2 backend processes, closed loop ---------------
-  rpc::ShardRouterOptions ro;
-  ro.replication = 2;
-  rpc::ShardRouter router(ro);
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    rpc::RpcClientOptions co;
-    co.unix_path = backends[i].path;
-    co.connections = 1;
-    router.add_backend("backend" + std::to_string(i), co);
-  }
-
+  // --- phase 2: one backend process, closed loop -----------------------
   double rpc_rps = 0;
   {
+    rpc::RpcClientOptions co;
+    co.unix_path = backend.path;
+    co.connections = 1;
+    rpc::RpcClient client(co);
     // Same windowed closed loop as phase 1: keep kWindow requests in
-    // flight through the router's pipelined submit() so both backends
-    // see full batches. (Blocking one-thread-per-request drivers cap
-    // occupancy at threads/backends and under-batch the conv.)
-    {  // warm both backends' plans off the clock
+    // flight through the client's pipelined submit() so the backend sees
+    // full batches. (Blocking one-thread-per-request drivers cap
+    // occupancy at the thread count and under-batch the conv.)
+    {  // warm the backend's plan off the clock
       std::vector<std::future<rpc::RpcResponse>> warm;
-      for (int r = 0; r < 4 * kMaxBatch; ++r) {
-        warm.push_back(router.submit("conv", input.data(), sin));
+      for (int r = 0; r < 2 * kMaxBatch; ++r) {
+        warm.push_back(client.submit("conv", input.data(), sin));
       }
       for (auto& f : warm) f.get();
     }
@@ -272,7 +264,7 @@ int main(int argc, char** argv) {
         if (!window.front().get().ok()) ++failures;
         window.erase(window.begin());
       }
-      window.push_back(router.submit("conv", input.data(), sin));
+      window.push_back(client.submit("conv", input.data(), sin));
     }
     for (auto& f : window) {
       if (!f.get().ok()) ++failures;
@@ -285,20 +277,17 @@ int main(int argc, char** argv) {
   const double ratio = rpc_rps / in_proc_rps;
 
   // --- phase 3: 2x overload, deadline = SLO, measure shedding -----------
-  // Open loop: pace submissions at ~2x the measured loopback capacity,
-  // alternating backends directly (futures pile up; admission sheds).
+  // Open loop: pace submissions at ~2x the measured loopback capacity
+  // (futures pile up; admission sheds).
   double shed_rate = 0, admitted_p99_ms = 0, admitted_queue_p99_ms = 0;
   u64 overload_total = 0, overload_shed = 0, overload_ok = 0,
       overload_other = 0;
   double offered_rps = 0;
   {
-    std::vector<std::unique_ptr<rpc::RpcClient>> clients;
-    for (const BackendProc& b : backends) {
-      rpc::RpcClientOptions co;
-      co.unix_path = b.path;
-      co.connections = 2;
-      clients.push_back(std::make_unique<rpc::RpcClient>(co));
-    }
+    rpc::RpcClientOptions co;
+    co.unix_path = backend.path;
+    co.connections = 2;
+    rpc::RpcClient client(co);
     offered_rps = 2.0 * rpc_rps;
     const auto interval = std::chrono::nanoseconds(
         static_cast<long long>(1e9 / offered_rps));
@@ -308,8 +297,7 @@ int main(int argc, char** argv) {
     auto next = t0;
     while (std::chrono::steady_clock::now() < t_end) {
       futures.push_back(
-          clients[futures.size() % clients.size()]->submit(
-              "conv", input.data(), sin, /*deadline_ms=*/kSloMs));
+          client.submit("conv", input.data(), sin, /*deadline_ms=*/kSloMs));
       next += interval;
       std::this_thread::sleep_until(next);
     }
@@ -338,21 +326,17 @@ int main(int argc, char** argv) {
   const bool p99_within_slo = admitted_p99_ms <= kSloMs;
 
   // --- teardown ---------------------------------------------------------
-  for (BackendProc& b : backends) {
-    ::close(b.stdin_fd);  // EOF → backend stops and exits
-  }
-  for (BackendProc& b : backends) {
-    int status = 0;
-    ::waitpid(b.pid, &status, 0);
-  }
+  ::close(backend.stdin_fd);  // EOF → backend stops and exits
+  int status = 0;
+  ::waitpid(backend.pid, &status, 0);
 
-  std::printf("rpc loopback — 1 router + 2 backend processes, unix "
-              "sockets, C=C'=256, F(4x4), max_batch %d\n\n",
+  std::printf("rpc loopback — driver + 1 backend process, unix socket, "
+              "C=C'=256, F(4x4), max_batch %d\n\n",
               kMaxBatch);
   std::printf("  %-32s %10.0f req/s\n", "in-proc batched (baseline)",
               in_proc_rps);
   std::printf("  %-32s %10.0f req/s   (%.2fx of in-proc, floor 0.80x)\n",
-              "router + 2 backends, loopback", rpc_rps, ratio);
+              "1 backend, loopback", rpc_rps, ratio);
   std::printf("\n  overload 2x for 3 s, deadline = SLO = %.0f ms:\n",
               kSloMs);
   std::printf("    offered %.0f req/s, %llu requests: %llu ok, %llu shed "
@@ -376,7 +360,7 @@ int main(int argc, char** argv) {
         .set("rps", in_proc_rps);
     report.row()
         .set("phase", "rpc_loopback")
-        .set("backends", 2.0)
+        .set("backends", 1.0)
         .set("requests", static_cast<double>(kRequests))
         .set("rps", rpc_rps)
         .set("ratio_vs_in_proc", ratio)

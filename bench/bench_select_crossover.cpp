@@ -15,8 +15,9 @@
 // is pinned into its measurement short list), and wins big where a larger
 // tile amortizes transforms over more output (high-resolution batch-1
 // layers) or where Winograd's tile count explodes (3-D, large kernels).
-// With --wisdom the second run of this binary does no tuning or selection
-// measurements at all — decisions come back from the wisdom cache.
+// With --wisdom the second run of this binary does no selection
+// measurements — the planner's decisions come back from the wisdom cache
+// (contender 1's auto_tune still measures: the tuner persists nothing).
 //
 // --json additionally records the calibrated cost model's predictions
 // next to the measurements: per layer, the predicted seconds for the best
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
     for (auto& v : w_b) v = rng.gaussian(0.0f, 0.05f);
 
     // Contender 1: the historical fixed choice — F(2, r) with blocking
-    // from the §4.3.2 empirical search (wisdom-cached across runs).
+    // from the §4.3.2 empirical search.
     ConvProblem p;
     p.shape = s;
     p.tile_m = Dims::filled(rank, 2);

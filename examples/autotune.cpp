@@ -1,21 +1,19 @@
-// Auto-tuning & wisdom demo (paper §4.3.2).
+// Auto-tuning demo (paper §4.3.2).
 //
-//   $ ./example_autotune [wisdom_file]
+//   $ ./example_autotune
 //
 // Searches the blocking-parameter space for one layer, prints the ranked
-// candidates, persists the winner to a wisdom file, and shows that a fresh
-// plan picks it up.
+// candidates, and builds a plan on the winner through PlanOptions. The
+// search persists nothing; remembering decisions per shape is the
+// selection planner's job (see example_plan_auto and its wisdom file).
+#include <algorithm>
 #include <cstdio>
-#include <string>
 
 #include "ondwin/ondwin.h"
 
 using namespace ondwin;
 
-int main(int argc, char** argv) {
-  const std::string wisdom_path =
-      argc > 1 ? argv[1] : "/tmp/ondwin_wisdom.txt";
-
+int main() {
   ConvProblem p;
   p.shape.batch = 2;
   p.shape.in_channels = 64;
@@ -25,11 +23,8 @@ int main(int argc, char** argv) {
   p.shape.padding = {1, 1};
   p.tile_m = {4, 4};
 
-  PlanOptions base;
-  base.wisdom_path = wisdom_path;
-
   std::printf("tuning %s ...\n", wisdom_key(p).c_str());
-  const TuneResult r = auto_tune(p, base, /*budget_seconds=*/8.0);
+  const TuneResult r = auto_tune(p, PlanOptions{}, /*budget_seconds=*/8.0);
 
   std::printf("%-8s %-8s %-8s %12s\n", "n_blk", "c_blk", "cp_blk", "ms");
   const std::size_t show = std::min<std::size_t>(r.all.size(), 10);
@@ -37,19 +32,22 @@ int main(int argc, char** argv) {
     const auto& c = r.all[i];
     std::printf("%-8d %-8d %-8d %12.3f%s\n", c.blocking.n_blk,
                 c.blocking.c_blk, c.blocking.cp_blk, c.seconds * 1e3,
-                i == 0 ? "   <-- best (stored as wisdom)" : "");
+                i == 0 ? "   <-- best" : "");
   }
   if (r.all.size() > show) {
     std::printf("  ... %zu more candidates measured\n", r.all.size() - show);
   }
 
-  // A fresh plan with only the wisdom path set resolves to the winner.
+  // The winner reaches a plan through the blocking overrides.
   PlanOptions opts;
-  opts.wisdom_path = wisdom_path;
+  opts.n_blk = r.best.n_blk;
+  opts.c_blk = r.best.c_blk;
+  opts.cp_blk = r.best.cp_blk;
+  opts.fuse_blk = r.best.f_blk;
   ConvPlan plan(p, opts);
-  std::printf(
-      "fresh plan picked n_blk=%d c_blk=%d cp_blk=%d from %s\n",
-      plan.blocking().n_blk, plan.blocking().c_blk, plan.blocking().cp_blk,
-      wisdom_path.c_str());
+  std::printf("tuned plan runs n_blk=%d c_blk=%d cp_blk=%d (%s)\n",
+              plan.blocking().n_blk, plan.blocking().c_blk,
+              plan.blocking().cp_blk,
+              plan.fusion_policy().fused ? "fused" : "staged");
   return 0;
 }

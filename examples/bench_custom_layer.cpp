@@ -11,7 +11,6 @@
 //     --m MxMxM        Winograd output tile      (default 4x4)
 //     --threads N      0 = hardware              (default 0)
 //     --tune           run the blocking search first
-//     --wisdom FILE    wisdom path
 //
 // Prints ours (training + FX) against the optimized direct baseline.
 #include <cstdio>
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
     else if (a == "--pad") p.shape.padding = parse_dims(next());
     else if (a == "--m") p.tile_m = parse_dims(next());
     else if (a == "--threads") opts.threads = std::stoi(next());
-    else if (a == "--wisdom") opts.wisdom_path = next();
     else if (a == "--tune") tune = true;
     else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "core/wisdom.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cpu.h"
@@ -125,7 +124,13 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options,
   in_groups_ = problem_.shape.in_channels / kSimdWidth;
   out_groups_ = problem_.shape.out_channels / kSimdWidth;
 
-  choose_blocking();
+  std::string why;
+  const std::optional<Blocking> blocking = choose_blocking(
+      problem_,
+      {options_.n_blk, options_.c_blk, options_.cp_blk, options_.fuse_blk},
+      prec_, &why);
+  if (!blocking) fail("invalid blocking: ", why);
+  blocking_ = *blocking;
   nb_pad_ = round_up(nb_, blocking_.n_blk);
   ib_ = nb_pad_ / blocking_.n_blk;
   kb_ = problem_.shape.in_channels / blocking_.c_blk;
@@ -150,55 +155,61 @@ ConvPlan::ConvPlan(const ConvProblem& problem, const PlanOptions& options,
 
 ConvPlan::~ConvPlan() = default;
 
-void ConvPlan::choose_blocking() {
-  const i64 c = problem_.shape.in_channels;
-  const i64 cp = problem_.shape.out_channels;
-
-  Blocking b;
-  if (!options_.wisdom_path.empty()) {
-    WisdomStore wisdom(options_.wisdom_path);
-    if (auto hit = wisdom.lookup(wisdom_key(problem_))) b = *hit;
-  }
-  if (options_.n_blk > 0) b.n_blk = options_.n_blk;
-  if (options_.c_blk > 0) b.c_blk = options_.c_blk;
-  if (options_.cp_blk > 0) b.cp_blk = options_.cp_blk;
-  if (options_.fuse_blk > 0) b.f_blk = options_.fuse_blk;
+std::optional<Blocking> ConvPlan::choose_blocking(const ConvProblem& problem,
+                                                  Blocking b,
+                                                  Precision precision,
+                                                  std::string* why) {
+  const i64 c = problem.shape.in_channels;
+  const i64 cp = problem.shape.out_channels;
+  const i64 nb = problem.tiles_total() * problem.shape.batch;
+  const auto reject = [&](auto&&... reason) -> std::optional<Blocking> {
+    if (why != nullptr) *why = str_cat(reason...);
+    return std::nullopt;
+  };
 
   // fp16 Û broadcasts widen through a reserved register (zmm29), leaving
   // one fewer accumulator than the fp32/bf16 kernels.
-  const int n_cap = prec_ == Precision::kFp16 ? 29 : 30;
+  const int n_cap = precision == Precision::kFp16 ? 29 : 30;
   if (b.c_blk == 0) b.c_blk = divisor16(c, 128);
   if (b.cp_blk == 0) b.cp_blk = divisor16(cp, 128);
   if (b.n_blk == 0) {
     // Prefer large register blocks, but avoid padding waste when N·B is
     // small: pick the n_blk in [6,30] minimizing rounded-up waste
     // (ties favour the larger block).
-    if (nb_ <= n_cap) {
-      b.n_blk = static_cast<int>(nb_);
+    if (nb <= n_cap) {
+      b.n_blk = static_cast<int>(nb);
     } else {
       i64 best_waste = -1;
       for (int n = 6; n <= n_cap; ++n) {
-        const i64 waste = round_up(nb_, n) - nb_;
+        const i64 waste = round_up(nb, n) - nb;
         if (best_waste < 0 || waste <= best_waste) {
           best_waste = waste;
           b.n_blk = n;
         }
       }
     }
-  } else if (prec_ == Precision::kFp16) {
+  } else if (precision == Precision::kFp16) {
     b.n_blk = std::min(b.n_blk, n_cap);
   }
 
-  ONDWIN_CHECK(b.n_blk >= 1 && b.n_blk <= n_cap, "n_blk out of range: ",
-               b.n_blk);
-  ONDWIN_CHECK(b.c_blk % 16 == 0 && c % b.c_blk == 0, "c_blk (", b.c_blk,
-               ") must be a multiple of 16 dividing C (", c, ")");
-  ONDWIN_CHECK(b.cp_blk % 16 == 0 && cp % b.cp_blk == 0, "cp_blk (",
-               b.cp_blk, ") must be a multiple of 16 dividing C' (", cp, ")");
-  ONDWIN_CHECK(static_cast<i64>(b.c_blk) * b.cp_blk <= 128 * 128,
-               "c_blk x cp_blk exceeds the L2 budget (128^2 floats)");
-  ONDWIN_CHECK(b.f_blk >= 0, "f_blk must be non-negative, got ", b.f_blk);
-  blocking_ = b;
+  if (b.n_blk < 1 || b.n_blk > n_cap) {
+    return reject("n_blk out of range: ", b.n_blk);
+  }
+  if (b.c_blk <= 0 || b.c_blk % 16 != 0 || c % b.c_blk != 0) {
+    return reject("c_blk (", b.c_blk,
+                  ") must be a multiple of 16 dividing C (", c, ")");
+  }
+  if (b.cp_blk <= 0 || b.cp_blk % 16 != 0 || cp % b.cp_blk != 0) {
+    return reject("cp_blk (", b.cp_blk,
+                  ") must be a multiple of 16 dividing C' (", cp, ")");
+  }
+  if (static_cast<i64>(b.c_blk) * b.cp_blk > 128 * 128) {
+    return reject("c_blk x cp_blk exceeds the L2 budget (128^2 floats)");
+  }
+  if (b.f_blk < 0) {
+    return reject("f_blk must be non-negative, got ", b.f_blk);
+  }
+  return b;
 }
 
 FusionPolicy ConvPlan::choose_fusion(const ConvProblem& problem,

@@ -26,6 +26,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/conv_problem.h"
@@ -98,10 +100,10 @@ struct ConvPlanStats {
   StageBalance inverse_balance;
 };
 
-/// Resolved blocking parameters (after heuristic/wisdom/overrides).
+/// Resolved blocking parameters (explicit overrides, else the heuristic).
 /// `f_blk` is the fused-mode tile-block size (row blocks per block); it
 /// rides along with the GEMM blocking through the tuner and wisdom v2 but
-/// is not part of the v1 wisdom format (0 = heuristic).
+/// is not part of the legacy v1 wisdom line (0 = heuristic).
 struct Blocking {
   int n_blk = 0;
   int c_blk = 0;
@@ -179,6 +181,20 @@ class ConvPlan {
                                     const Blocking& blocking, int threads,
                                     FusionMode mode, Precision precision);
 
+  /// The blocking a plan of `problem` at `precision` runs with — the one
+  /// place the blocking rule lives. Non-zero fields of `requested` are
+  /// kept (fp16 clamps n_blk to its 29 accumulators); zero fields take
+  /// the heuristic: n_blk minimising padding waste, c_blk/cp_blk the
+  /// largest multiple of 16 ≤ 128 dividing C/C'. Returns nullopt, with
+  /// the reason in `*why` when non-null, for a blocking no plan can run:
+  /// n_blk outside [1, 30], c_blk/cp_blk not a multiple of 16 dividing
+  /// C/C', c_blk·cp_blk > 128², or a negative f_blk. The constructor
+  /// throws on exactly these; wisdom lookups count them as misses.
+  static std::optional<Blocking> choose_blocking(const ConvProblem& problem,
+                                                 Blocking requested,
+                                                 Precision precision,
+                                                 std::string* why = nullptr);
+
   /// Auxiliary buffer footprint in bytes (paper §4.4 "Memory overhead").
   i64 workspace_bytes() const;
 
@@ -221,7 +237,6 @@ class ConvPlan {
     std::vector<GridBox> input, gemm, copy, inverse, fused;
   };
 
-  void choose_blocking();
   void build_programs();
   void build_pipelines();
   void build_kernels();

@@ -64,15 +64,15 @@ struct PlanOptions {
   /// across staged/fused execution. See DESIGN.md §15.
   Precision precision = Precision::kFp32;
 
-  /// Blocking overrides; 0 = heuristic (or wisdom, when a wisdom store is
-  /// attached). Constraints: n_blk ∈ [1,30]; c_blk | C; cp_blk | C';
+  /// Blocking overrides; 0 = heuristic. Constraints (checked by
+  /// ConvPlan::choose_blocking): n_blk ∈ [1,30]; c_blk | C; cp_blk | C';
   /// both multiples of 16 with c_blk·cp_blk ≤ 128².
   int n_blk = 0;
   int c_blk = 0;
   int cp_blk = 0;
 
   /// Fused-mode tile-block size in row blocks of n_blk tiles each; 0 =
-  /// heuristic (one row block, see ConvPlan::choose_fusion) or wisdom v2.
+  /// heuristic (one row block, see ConvPlan::choose_fusion).
   /// Ignored when the plan resolves to staged execution.
   int fuse_blk = 0;
 
@@ -91,8 +91,10 @@ struct PlanOptions {
   /// off (the legacy path keeps legacy first-touch too).
   bool numa_first_touch = true;
 
-  /// Optional wisdom file consulted for blocking parameters (FFTW-style,
-  /// paper §4.3.2). Empty = no wisdom.
+  /// Wisdom file of the selection planner (FFTW-style, paper §4.3.2):
+  /// select_config reads and writes its decisions there, and the machine
+  /// calibration lives there too (select/wisdom2.h). Read by the planner
+  /// only — ConvPlan and auto_tune never open it. Empty = no wisdom.
   std::string wisdom_path;
 };
 

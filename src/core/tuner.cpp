@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/wisdom.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -93,7 +92,6 @@ TuneResult auto_tune(const ConvProblem& p, const PlanOptions& base,
     ONDWIN_TRACE_SPAN("tune.candidate");
     candidates_metric.inc();
     PlanOptions opts = base;
-    opts.wisdom_path.clear();  // candidates must not read stale wisdom
     opts.n_blk = cand.n_blk;
     opts.c_blk = cand.c_blk;
     opts.cp_blk = cand.cp_blk;
@@ -142,7 +140,6 @@ TuneResult auto_tune(const ConvProblem& p, const PlanOptions& base,
   // entirely, so small-shape tuning pays nothing.
   {
     PlanOptions opts = base;
-    opts.wisdom_path.clear();
     opts.n_blk = result.best.n_blk;
     opts.c_blk = result.best.c_blk;
     opts.cp_blk = result.best.cp_blk;
@@ -189,11 +186,6 @@ TuneResult auto_tune(const ConvProblem& p, const PlanOptions& base,
         result.best_seconds = best_f_seconds;
       }
     }
-  }
-
-  if (!base.wisdom_path.empty()) {
-    WisdomStore wisdom(base.wisdom_path);
-    wisdom.store(wisdom_key(p), result.best);
   }
   return result;
 }

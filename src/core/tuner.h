@@ -1,7 +1,8 @@
 // Empirical blocking-parameter search (paper §4.3.2): "we take the
 // strategy of FFTW and determine the values of n_blk, C_blk and C'_blk …
-// empirically for each particular layer shape", persisting winners in a
-// wisdom file.
+// empirically for each particular layer shape". The search only measures;
+// remembering winners per shape is the selection planner's job
+// (select_config persists its whole decision in wisdom v2).
 #pragma once
 
 #include <vector>
@@ -30,9 +31,9 @@ std::vector<Blocking> tuning_candidates(const ConvProblem& p);
 /// When the winning blocking executes fused under `base`, a second phase
 /// measures a ladder of fused tile-block sizes ({1, 2, 4, 8} row blocks)
 /// and records the fastest in `best.f_blk` (0 when the winner runs
-/// staged); wisdom v2 persists the field, the v1 store ignores it.
-/// When `base.wisdom_path` is set, the winner is stored there so later
-/// plans pick it up automatically. `budget_seconds` caps the search; it
+/// staged). Nothing is persisted: pass `best` to a plan through
+/// PlanOptions' blocking fields, or let select_config record it in wisdom
+/// v2; `base.wisdom_path` is ignored. `budget_seconds` caps the search; it
 /// is checked inside the best-of-N repetition loop (so one slow candidate
 /// cannot overshoot it by more than a single repetition), and candidates
 /// whose first repetition is already >2× the incumbent best are dropped

@@ -17,7 +17,7 @@
 // back from port()). Standalone use:
 //
 //   obs::HttpExporter exporter({.port = 9464});
-//   exporter.add_statusz_section("shards", [&] { return router.statusz(); });
+//   exporter.add_statusz_section("cache", [&] { return cache.status(); });
 //   exporter.start();
 //   ... curl http://127.0.0.1:9464/metrics ...
 #pragma once

@@ -12,8 +12,9 @@
 // retries transparently up to max_retries. A connection that dies AFTER a
 // request was fully written fails that request with kTransportError —
 // the server may or may not have executed it. Inference is a pure
-// function of its input, so callers (ShardRouter in particular) are free
-// to re-submit on kTransportError; the client itself will not.
+// function of its input, so callers are free to re-submit on
+// kTransportError (to the same endpoint or another replica); the client
+// itself will not.
 #pragma once
 
 #include <future>

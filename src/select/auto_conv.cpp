@@ -43,8 +43,8 @@ AutoConv::AutoConv(const ConvShape& shape, const SelectedConfig& config,
       p.shape = shape_;
       p.tile_m = config_.tile_m;
       PlanOptions opts = options;
-      // The selection's blocking beats both wisdom and heuristics; zeros
-      // fall through to them.
+      // The selection's blocking beats the plan's heuristic; zeros fall
+      // through to it.
       if (config_.blocking.n_blk > 0) opts.n_blk = config_.blocking.n_blk;
       if (config_.blocking.c_blk > 0) opts.c_blk = config_.blocking.c_blk;
       if (config_.blocking.cp_blk > 0) {

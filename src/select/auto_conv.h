@@ -9,7 +9,6 @@
 //   direct    → DirectConvBlocked (epilogue applied as a post-pass)
 //   FFT       → fftconv::FftConvPlan — native blocked layouts, R2C
 //               overlap-save transforms, JIT complex GEMM, fused epilogue
-//               (the scalar baseline FftConv remains the test oracle)
 #pragma once
 
 #include <memory>

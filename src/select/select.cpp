@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "core/tuner.h"
-#include "core/wisdom.h"
 #include "fftconv/fftconv_plan.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -35,6 +35,23 @@ void enumerate_tiles(const ConvShape& shape, const Dims& out_dims, int max_m,
     next.push_back(m);
     enumerate_tiles(shape, out_dims, max_m, d + 1, next, out);
   }
+}
+
+// Whether a plan of `shape` at `tile_m` and `precision` runs `blocking`.
+// A wisdom record that fails this (hand-edited, or from a foreign build)
+// is a miss, not a throw at plan construction: the selection re-runs and
+// overwrites it.
+bool plan_accepts(const ConvShape& shape, const Dims& tile_m,
+                  const Blocking& blocking, Precision precision) {
+  ConvProblem p;
+  p.shape = shape;
+  p.tile_m = tile_m;
+  try {
+    p.validate();
+  } catch (const Error&) {
+    return false;
+  }
+  return ConvPlan::choose_blocking(p, blocking, precision).has_value();
 }
 
 struct MeasuredCandidate {
@@ -116,25 +133,24 @@ SelectedConfig select_config(const ConvShape& shape,
   const std::string& wpath = opts.plan.wisdom_path;
   const Precision requested = opts.plan.precision;
   const std::string key = shape_key(shape);
+  std::optional<WisdomV2Store> wisdom;
   if (!wpath.empty()) {
-    WisdomV2Store wisdom(wpath);
-    if (auto rec = wisdom.lookup(key)) {
-      const bool rank_ok =
-          rec->algorithm != Algorithm::kWinograd ||
-          rec->tile_m.rank() == shape.image.rank();
-      // A record made under a different storage precision is stale — the
-      // timings that chose it were measured against other kernels — so it
-      // counts as a miss and the selection below re-runs (and overwrites
-      // it with the current request's decision).
-      if (rank_ok && rec->precision == requested) {
-        SelectedConfig sel;
-        sel.algorithm = rec->algorithm;
-        sel.tile_m = rec->tile_m;
-        sel.blocking = rec->blocking;
-        if (rec->algorithm == Algorithm::kWinograd) {
-          sel.precision = resolve_storage_precision(
-              requested, rec->tile_m, shape.kernel, opts.max_storage_err);
-        }
+    wisdom.emplace(wpath);
+    // Keyed by the requested precision: a record made under another one
+    // was timed against other kernels and is not consulted.
+    if (auto rec = wisdom->lookup(key, requested)) {
+      SelectedConfig sel;
+      sel.algorithm = rec->algorithm;
+      sel.tile_m = rec->tile_m;
+      sel.blocking = rec->blocking;
+      bool usable = true;
+      if (rec->algorithm == Algorithm::kWinograd) {
+        sel.precision = resolve_storage_precision(
+            requested, rec->tile_m, shape.kernel, opts.max_storage_err);
+        usable = plan_accepts(shape, rec->tile_m, rec->blocking,
+                              sel.precision);
+      }
+      if (usable) {
         sel.from_wisdom = true;
         fftconv::note_selection(algorithm_name(sel.algorithm));
         return sel;
@@ -222,23 +238,26 @@ SelectedConfig select_config(const ConvShape& shape,
       mc.precision = resolve_storage_precision(
           requested, cand.tile_m, shape.kernel, opts.max_storage_err);
       popts.precision = mc.precision;
+      // A legacy v1 line already tuned this tile: benchmark that single
+      // blocking instead of re-running the search. v1 lines record no
+      // precision, so only fp32 requests trust them.
       std::optional<Blocking> known;
-      if (!wpath.empty()) {
-        known = WisdomV2Store(wpath).lookup_v1(wisdom_key(p));
+      if (wisdom && requested == Precision::kFp32) {
+        known = wisdom->lookup_v1(wisdom_key(p));
+        if (known &&
+            !plan_accepts(shape, cand.tile_m, *known, mc.precision)) {
+          known.reset();
+        }
       }
       if (known) {
-        // A legacy v1 entry already tuned this tile size: benchmark that
-        // single blocking instead of re-running the search.
         mc.blocking = *known;
       } else {
-        // The existing tuner harness finds the best blocking (and
-        // persists it as a v1 entry when a wisdom path is attached) —
-        // but only the *blocking* is trusted: its sweep times are minima
-        // over one or two repetitions per blocking, a winner's-curse-
-        // biased estimate that can crown a tile the hardware does not
-        // sustain. The finalist is timed below instead.
-        const TuneResult tuned = auto_tune(p, popts, per_candidate);
-        mc.blocking = tuned.best;
+        // The tuner harness finds the best blocking — but only the
+        // *blocking* is trusted: its sweep times are minima over one or
+        // two repetitions per blocking, a winner's-curse-biased estimate
+        // that can crown a tile the hardware does not sustain. The
+        // finalist is timed below instead.
+        mc.blocking = auto_tune(p, popts, per_candidate).best;
       }
       cfg.tile_m = cand.tile_m;
       cfg.blocking = mc.blocking;
@@ -299,7 +318,6 @@ SelectedConfig select_config(const ConvShape& shape,
   sel.measured = static_cast<int>(measured.size());
 
   if (!wpath.empty()) {
-    WisdomV2Store wisdom(wpath);
     SelectionRecord rec;
     rec.algorithm = sel.algorithm;
     rec.tile_m = sel.tile_m;
@@ -308,7 +326,9 @@ SelectedConfig select_config(const ConvShape& shape,
     // re-derived on lookup): a later fp32 request must not inherit a
     // decision timed under reduced storage, and vice versa.
     rec.precision = requested;
-    wisdom.store(key, rec);
+    // Re-read before the rewrite: the calibration (and other processes'
+    // records) may have landed in the file since `wisdom` loaded it.
+    WisdomV2Store(wpath).store(key, rec);
   }
   fftconv::note_selection(algorithm_name(sel.algorithm));
   return sel;

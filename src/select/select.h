@@ -12,8 +12,8 @@
 //   3. measures the top-K (plus the pinned F(2, r) default, so the
 //      planner can never lose to it) with the existing tuner harness, and
 //   4. returns a SelectedConfig {algorithm, tile_m, Blocking}, persisting
-//      the decision in wisdom v2 (select/wisdom2.h) so later calls — and
-//      other processes — skip the measurement entirely.
+//      the decision in wisdom (select/wisdom2.h) — the only writer of the
+//      file — so later calls and other processes skip the measurement.
 //
 // plan_auto() wraps the decision in an AutoConv, a uniform blocked-layout
 // executor over all three algorithmic classes.
@@ -38,7 +38,8 @@ struct Candidate {
 
 struct SelectOptions {
   /// Plan knobs the chosen executor runs with (threads, JIT switches,
-  /// wisdom_path — the same file carries v1 blocking and v2 selections).
+  /// precision). `plan.wisdom_path` is the wisdom file this planner reads
+  /// and writes; empty = measure on every call.
   PlanOptions plan;
 
   /// Number of cost-ranked candidates to benchmark (the F(2, r) Winograd
@@ -113,9 +114,9 @@ Precision resolve_storage_precision(Precision requested, const Dims& tile_m,
 std::vector<Candidate> enumerate_candidates(const ConvShape& shape,
                                             const SelectOptions& opts = {});
 
-/// Full selection: wisdom v2 lookup → enumerate → rank → measure top-K →
-/// persist. Throws only on invalid shapes (wisdom I/O failures degrade to
-/// re-measurement).
+/// Full selection: wisdom lookup → enumerate → rank → measure top-K →
+/// persist. Throws only on invalid shapes (wisdom I/O failures and
+/// records a plan would reject degrade to re-measurement).
 SelectedConfig select_config(const ConvShape& shape,
                              const SelectOptions& opts = {});
 

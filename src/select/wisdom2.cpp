@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -11,7 +12,36 @@
 
 #include "obs/metrics.h"
 
-namespace ondwin::select {
+namespace ondwin {
+namespace {
+
+// "r<rank>_b<batch>_c<C>_o<C'>_i<image>_k<kernel>[_m<tile>]_p<padding>",
+// extents joined by 'x'. Both keys are on disk: the format is frozen.
+std::string layer_key(const ConvShape& shape, const Dims* tile_m) {
+  const auto dims = [&](std::ostringstream& os, const char* tag,
+                        const Dims& v) {
+    os << tag;
+    for (int d = 0; d < shape.image.rank(); ++d) {
+      os << (d ? "x" : "") << v[d];
+    }
+  };
+  std::ostringstream os;
+  os << "r" << shape.image.rank() << "_b" << shape.batch << "_c"
+     << shape.in_channels << "_o" << shape.out_channels;
+  dims(os, "_i", shape.image);
+  dims(os, "_k", shape.kernel);
+  if (tile_m != nullptr) dims(os, "_m", *tile_m);
+  dims(os, "_p", shape.padding);
+  return os.str();
+}
+
+}  // namespace
+
+std::string wisdom_key(const ConvProblem& p) {
+  return layer_key(p.shape, &p.tile_m);
+}
+
+namespace select {
 namespace {
 
 constexpr const char* kV2Tag = "!v2";
@@ -51,29 +81,17 @@ bool parse_mspec(const std::string& s, Dims* out) {
   return true;
 }
 
-bool plausible_blocking(int n, int c, int cp) {
-  return n >= 1 && n <= 30 && c >= 16 && cp >= 16;
+// Parse-level sanity only: the fields a tuner could have written. Whether
+// a plan can run the blocking is ConvPlan::choose_blocking's call, made
+// at lookup time (a failing record is a miss there, and is overwritten).
+bool positive_blocking(int n, int c, int cp) {
+  return n > 0 && c > 0 && cp > 0;
 }
 
 }  // namespace
 
 std::string shape_key(const ConvShape& shape) {
-  std::ostringstream os;
-  os << "r" << shape.image.rank() << "_b" << shape.batch << "_c"
-     << shape.in_channels << "_o" << shape.out_channels;
-  os << "_i";
-  for (int d = 0; d < shape.image.rank(); ++d) {
-    os << (d ? "x" : "") << shape.image[d];
-  }
-  os << "_k";
-  for (int d = 0; d < shape.image.rank(); ++d) {
-    os << (d ? "x" : "") << shape.kernel[d];
-  }
-  os << "_p";
-  for (int d = 0; d < shape.image.rank(); ++d) {
-    os << (d ? "x" : "") << shape.padding[d];
-  }
-  return os.str();
+  return layer_key(shape, nullptr);
 }
 
 WisdomV2Store::WisdomV2Store(std::string path) : path_(std::move(path)) {
@@ -123,10 +141,10 @@ void WisdomV2Store::load() {
       if (!parse_mspec(m_s, &rec.tile_m)) continue;
       if (rec.algorithm == Algorithm::kWinograd) {
         if (rec.tile_m.rank() == 0) continue;  // Winograd needs tiles
-        if (!plausible_blocking(n, c, cp)) continue;
+        if (!positive_blocking(n, c, cp)) continue;
       }
       rec.blocking = {n, c, cp, f};
-      v2_[key] = rec;
+      v2_[{key, prec}] = rec;
       continue;
     }
     if (first == kCalTag) {
@@ -145,18 +163,17 @@ void WisdomV2Store::load() {
       }
       continue;
     }
-    // v1 line: <problem_key> <n> <c> <cp> — same acceptance rules as the
-    // core WisdomStore so both stores agree on what a legacy entry is.
+    // Legacy v1 line: <problem_key> <n> <c> <cp>.
     int n = 0, c = 0, cp = 0;
     if (!(ls >> n >> c >> cp)) continue;  // malformed: skip
-    if (!plausible_blocking(n, c, cp)) continue;
+    if (!positive_blocking(n, c, cp)) continue;
     v1_[first] = {n, c, cp};
   }
 }
 
 std::optional<SelectionRecord> WisdomV2Store::lookup(
-    const std::string& key) const {
-  const auto it = v2_.find(key);
+    const std::string& key, Precision precision) const {
+  const auto it = v2_.find({key, precision});
   if (it == v2_.end()) return std::nullopt;
   return it->second;
 }
@@ -170,7 +187,7 @@ std::optional<Blocking> WisdomV2Store::lookup_v1(
 
 bool WisdomV2Store::store(const std::string& key,
                           const SelectionRecord& record) {
-  v2_[key] = record;
+  v2_[{key, record.precision}] = record;
   return rewrite();
 }
 
@@ -180,9 +197,10 @@ bool WisdomV2Store::store_calibration(const MachineProfile& profile) {
 }
 
 bool WisdomV2Store::rewrite() {
-  // Write-then-rename, like the v1 store, so concurrent readers never see
-  // a half-written file. v1 entries (and the calibration line) are
-  // rewritten alongside the v2 ones.
+  // Write-then-rename so concurrent readers never see a half-written file.
+  // The temp file lives next to the target so rename() stays atomic.
+  // Legacy v1 entries and the calibration line are rewritten alongside
+  // the v2 ones.
   static std::atomic<u64> serial{0};
   u64 uniq = serial.fetch_add(1);
 #if defined(__linux__)
@@ -202,8 +220,8 @@ bool WisdomV2Store::rewrite() {
           << "\n";
     }
     for (const auto& [k, r] : v2_) {
-      out << kV2Tag << " " << k << " " << algorithm_name(r.algorithm) << " "
-          << mspec(r.tile_m) << " " << r.blocking.n_blk << " "
+      out << kV2Tag << " " << k.first << " " << algorithm_name(r.algorithm)
+          << " " << mspec(r.tile_m) << " " << r.blocking.n_blk << " "
           << r.blocking.c_blk << " " << r.blocking.cp_blk << " "
           << r.blocking.f_blk;
       // fp32 lines stay byte-identical to pre-precision builds; older
@@ -227,4 +245,5 @@ bool WisdomV2Store::rewrite() {
   return true;
 }
 
-}  // namespace ondwin::select
+}  // namespace select
+}  // namespace ondwin

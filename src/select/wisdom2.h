@@ -1,44 +1,54 @@
-// Wisdom v2: versioned persistence for full selection decisions
-// (algorithm + tile sizes + blocking per layer-shape key), the planner's
-// analogue of the v1 blocking-only wisdom of core/wisdom.h.
+// Wisdom: the selection planner's persistent memory (paper §4.3.2's
+// FFTW-style strategy, widened from blocking to the whole decision:
+// algorithm + tile sizes + blocking per layer shape and precision). This
+// is the only wisdom store and select_config its only writer; ConvPlan
+// and auto_tune never open the file.
 //
-// Both generations share one line-oriented file:
+// One line-oriented file holds three kinds of line:
 //
-//   v1 line:  <problem_key> <n_blk> <c_blk> <cp_blk>
 //   v2 line:  !v2 <shape_key> <algorithm> <mspec> <n_blk> <c_blk> <cp_blk>
 //             [f_blk] [prec=<fp32|bf16|fp16>]
 //   cal line: !cal 1 <stream_gbps> <llc_bytes> <gemm_gflops>
+//   v1 line:  <problem_key> <n_blk> <c_blk> <cp_blk>   (legacy, read-only)
+//
+// <mspec> is "4x4" style per-dimension tile sizes for Winograd and "-" for
+// the non-Winograd classes. The trailing prec= token records the storage
+// precision the selection was *requested* under (absent = fp32, so fp32
+// lines stay byte-identical to pre-precision builds); a record is keyed by
+// (shape key, requested precision), so one file serves fp32 and reduced
+// requests side by side.
 //
 // The "!cal" line (at most one) persists the machine calibration the
 // bandwidth-aware cost model runs on (select/machine_profile.h), so the
 // one-time microbenchmark is paid once per wisdom file, not once per
-// process. Like every other line it is a cache: a malformed or missing
-// calibration just triggers re-measurement.
+// process.
 //
-// where <mspec> is "4x4" style per-dimension tile sizes for Winograd and
-// "-" for the non-Winograd classes. The "!v2" sentinel cannot parse as a
-// v1 key+ints line, so the v1 loader skips v2 lines (and preserves them
-// verbatim on rewrite); this store reads legacy v1 lines transparently
-// and keeps them when it rewrites. The trailing prec= token records the
-// storage precision the selection was *requested* under (absent = fp32,
-// so pre-precision files keep working and fp32 files stay byte-stable);
-// select_config treats a token that does not match the current request
-// as a miss and re-selects — a stale-precision entry can never leak a
-// decision measured under different kernels. Like v1, wisdom is a cache,
-// never a correctness dependency: unreadable files behave as empty and
-// malformed lines are skipped.
+// v1 lines are the blocking-only records older builds' auto_tune wrote,
+// keyed by wisdom_key(problem). They still load, survive every rewrite,
+// and let select_config skip the blocking search for that tile on fp32
+// requests (they record no precision) — but nothing writes them any more.
+//
+// Wisdom is a cache, never a correctness dependency: unreadable files
+// behave as empty, unparsable lines are skipped, and select_config treats
+// a record a plan would reject (ConvPlan::choose_blocking) as a miss.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "core/conv_plan.h"
 #include "select/cost_model.h"
 #include "select/machine_profile.h"
 
-namespace ondwin::select {
+namespace ondwin {
+
+/// Stable identity of a Winograd problem (shape and tile sizes): the key
+/// of the legacy v1 lines.
+std::string wisdom_key(const ConvProblem& p);
+
+namespace select {
 
 /// Stable identity of a layer shape for selection: everything the
 /// decision depends on (batch included — it moves the crossover) except
@@ -51,10 +61,10 @@ struct SelectionRecord {
   Dims tile_m;        // empty (rank 0) for non-Winograd algorithms
   Blocking blocking;  // zeros = heuristic (non-Winograd records)
   /// Storage precision the selection was requested under — part of the
-  /// match, not the decision: a mismatch with the current request makes
-  /// the lookup a miss (timings measured under another precision are
-  /// stale). The *executed* precision is re-derived from the request and
-  /// the tile's storage-error budget at lookup time, never persisted.
+  /// key, not the decision: timings measured under another precision are
+  /// stale, so each precision keeps its own record. The *executed*
+  /// precision is re-derived from the request and the tile's
+  /// storage-error budget at lookup time, never persisted.
   Precision precision = Precision::kFp32;
 };
 
@@ -62,17 +72,17 @@ class WisdomV2Store {
  public:
   explicit WisdomV2Store(std::string path);
 
-  /// v2 lookup by shape key.
-  std::optional<SelectionRecord> lookup(const std::string& key) const;
+  /// The selection recorded for `key` under requested `precision`.
+  std::optional<SelectionRecord> lookup(
+      const std::string& key, Precision precision = Precision::kFp32) const;
 
-  /// Transparent v1 lookup by problem key (core wisdom_key(problem)):
-  /// legacy blocking entries — and the ones auto_tune keeps writing — let
-  /// the planner skip the blocking search for an already-tuned tile size.
+  /// Legacy v1 blocking by problem key (wisdom_key(problem)).
   std::optional<Blocking> lookup_v1(const std::string& problem_key) const;
 
-  /// Inserts/overwrites a selection and atomically rewrites the file,
-  /// preserving every v1 line (and the calibration). Returns false
-  /// (without throwing) when the file cannot be written.
+  /// Inserts/overwrites the selection for (`key`, record.precision) and
+  /// atomically rewrites the file, preserving every other record, v1
+  /// line and the calibration. Returns false (without throwing) when the
+  /// file cannot be written.
   bool store(const std::string& key, const SelectionRecord& record);
 
   /// The persisted machine calibration ("!cal" line), if any.
@@ -90,9 +100,10 @@ class WisdomV2Store {
   bool rewrite();
 
   std::string path_;
-  std::map<std::string, SelectionRecord> v2_;
+  std::map<std::pair<std::string, Precision>, SelectionRecord> v2_;
   std::map<std::string, Blocking> v1_;
   std::optional<MachineProfile> cal_;
 };
 
-}  // namespace ondwin::select
+}  // namespace select
+}  // namespace ondwin

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "baseline/direct_conv_blocked.h"
-#include "baseline/fft_conv.h"
 #include "baseline/simple_winograd.h"
 #include "gemm/baseline_gemms.h"
 #include "tensor/layout.h"
@@ -174,44 +173,6 @@ TEST(SimpleWino, LargerTileF44) {
   SimpleWinograd wino(prob, 1);
   wino.execute(wl.in.data(), wl.w.data(), got.data());
   EXPECT_LT(max_abs_diff(got, wl.ref), 5e-3);
-}
-
-// ----------------------------------------------------------- FFT conv ----
-
-class FftConvTest : public ::testing::TestWithParam<ShapeCase> {};
-
-TEST_P(FftConvTest, MatchesNaive) {
-  const auto& p = GetParam();
-  const Workload wl = make_workload(p.shape, 31);
-  std::vector<float> got(wl.ref.size());
-  FftConv conv(p.shape);
-  conv.set_kernels(wl.w.data());
-  conv.execute(wl.in.data(), got.data());
-  EXPECT_LT(max_abs_diff(got, wl.ref), 5e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, FftConvTest,
-    ::testing::Values(
-        ShapeCase{make_shape(1, 2, 2, {8, 8}, {3, 3}, {1, 1}), 1},
-        ShapeCase{make_shape(2, 4, 4, {9, 7}, {3, 3}, {0, 0}), 1},
-        ShapeCase{make_shape(1, 2, 4, {16}, {5}, {2}), 1},
-        ShapeCase{make_shape(1, 2, 2, {6, 6, 6}, {3, 3, 3}, {1, 1, 1}), 1},
-        ShapeCase{make_shape(1, 1, 1, {5, 5}, {2, 2}, {0, 0}), 1}));
-
-TEST(FftConvTest, RequiresKernelsFirst) {
-  const ConvShape s = make_shape(1, 1, 1, {8}, {3}, {0});
-  FftConv conv(s);
-  float in[8] = {}, out[6];
-  EXPECT_THROW(conv.execute(in, out), Error);
-}
-
-TEST(FftConvTest, FftSizesArePaddedPowersOfTwo) {
-  const ConvShape s = make_shape(1, 1, 1, {30, 14}, {3, 3}, {1, 1});
-  FftConv conv(s);
-  EXPECT_EQ(conv.fft_extent()[0], 64);  // 30+2+3-1 = 34 → 64
-  EXPECT_EQ(conv.fft_extent()[1], 32);  // 14+2+3-1 = 18 → 32
-  EXPECT_GT(conv.workspace_elems(), 0);
 }
 
 // ------------------------------------------------------ baseline GEMMs ----

@@ -1,8 +1,8 @@
 // ondwin::obs coverage: tracer (nesting, wraparound, concurrent emit,
 // Chrome JSON), metrics (counters under contention, histogram buckets,
-// Prometheus/JSON exposition and escaping), perf-counter fallback, the
-// per-thread StageBalance stats, the LatencyRecorder percentile fix, and
-// the serve::InferenceServer metrics endpoint end-to-end.
+// Prometheus/JSON exposition and escaping), the per-thread StageBalance
+// stats, the LatencyRecorder percentile fix, and the
+// serve::InferenceServer metrics endpoint end-to-end.
 //
 // This suite carries the `tsan` ctest label: the concurrent-emit and
 // counter tests are the data-race regression net for the lock-free paths.
@@ -255,28 +255,6 @@ TEST(Metrics, HistogramPrometheusCumulativeBuckets) {
   EXPECT_NE(json.find("\"name\":\"occ\""), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"histogram\""), std::string::npos);
   EXPECT_NE(json.find("\"le\":\"+Inf\""), std::string::npos);
-}
-
-TEST(PerfCounters, GracefulWhenUnavailable) {
-  obs::PerfCounterSet perf;
-  if (!perf.available()) {
-    EXPECT_FALSE(perf.unavailable_reason().empty());
-    perf.start();  // every call must be a harmless no-op
-    perf.stop();
-    const obs::PerfReading r = perf.read();
-    EXPECT_FALSE(r.valid);
-    EXPECT_EQ(r.cycles, 0u);
-  } else {
-    perf.start();
-    volatile double sink = 0;
-    for (int i = 0; i < 1000000; ++i) sink = sink + 1.0;
-    perf.stop();
-    const obs::PerfReading r = perf.read();
-    EXPECT_TRUE(r.valid);
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_GT(r.instructions, 0u);
-    EXPECT_GT(r.ipc(), 0.0);
-  }
 }
 
 TEST(StageBalance, PopulatedByMultiThreadExecute) {

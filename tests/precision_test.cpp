@@ -27,7 +27,6 @@
 #include "baseline/direct_conv.h"
 #include "core/conv_plan.h"
 #include "core/plan_options.h"
-#include "core/wisdom.h"
 #include "graph/executor.h"
 #include "net/sequential.h"
 #include "select/cost_model.h"
@@ -611,9 +610,10 @@ TEST(WisdomPrecision, TokenRoundTrip) {
   }
   select::WisdomV2Store reloaded(f.path());
   ASSERT_EQ(reloaded.size(), 3u);
-  EXPECT_EQ(reloaded.lookup("shape_bf16")->precision, Precision::kBf16);
-  EXPECT_EQ(reloaded.lookup("shape_fp16")->precision, Precision::kFp16);
-  EXPECT_EQ(reloaded.lookup("shape_fp32")->precision, Precision::kFp32);
+  ASSERT_TRUE(reloaded.lookup("shape_bf16", Precision::kBf16).has_value());
+  ASSERT_TRUE(reloaded.lookup("shape_fp16", Precision::kFp16).has_value());
+  ASSERT_TRUE(reloaded.lookup("shape_fp32").has_value());
+  EXPECT_FALSE(reloaded.lookup("shape_bf16").has_value());
 
   // fp32 records carry no token at all — pre-precision files and files
   // written by pre-precision builds stay byte-identical.
@@ -645,46 +645,18 @@ TEST(WisdomPrecision, OptionalAndMalformedTokens) {
   EXPECT_EQ(store.size(), 3u);
   ASSERT_TRUE(store.lookup("plain").has_value());
   EXPECT_EQ(store.lookup("plain")->precision, Precision::kFp32);
-  ASSERT_TRUE(store.lookup("with_fblk").has_value());
-  EXPECT_EQ(store.lookup("with_fblk")->precision, Precision::kBf16);
-  EXPECT_EQ(store.lookup("with_fblk")->blocking.f_blk, 3);
-  ASSERT_TRUE(store.lookup("no_fblk").has_value());
-  EXPECT_EQ(store.lookup("no_fblk")->precision, Precision::kFp16);
-  EXPECT_EQ(store.lookup("no_fblk")->blocking.f_blk, 0);
-  EXPECT_FALSE(store.lookup("bad_name").has_value());
-  EXPECT_FALSE(store.lookup("bad_value").has_value());
-}
-
-TEST(WisdomPrecision, V1StorePreservesPrecLines) {
-  // The v1 blocking store shares the file and must rewrite `prec=` lines
-  // verbatim — a v1 writer (auto_tune) running on a precision-era wisdom
-  // file cannot strip the tokens.
-  TempFile f;
-  {
-    select::WisdomV2Store store(f.path());
-    select::SelectionRecord r;
-    r.algorithm = select::Algorithm::kWinograd;
-    r.tile_m = {4, 4};
-    r.blocking = {14, 16, 16, 2};
-    r.precision = Precision::kBf16;
-    ASSERT_TRUE(store.store("reduced_shape", r));
+  const auto with_fblk = store.lookup("with_fblk", Precision::kBf16);
+  ASSERT_TRUE(with_fblk.has_value());
+  EXPECT_EQ(with_fblk->precision, Precision::kBf16);
+  EXPECT_EQ(with_fblk->blocking.f_blk, 3);
+  const auto no_fblk = store.lookup("no_fblk", Precision::kFp16);
+  ASSERT_TRUE(no_fblk.has_value());
+  EXPECT_EQ(no_fblk->precision, Precision::kFp16);
+  EXPECT_EQ(no_fblk->blocking.f_blk, 0);
+  for (Precision p : {Precision::kFp32, Precision::kBf16, Precision::kFp16}) {
+    EXPECT_FALSE(store.lookup("bad_name", p).has_value());
+    EXPECT_FALSE(store.lookup("bad_value", p).has_value());
   }
-  {
-    WisdomStore v1(f.path());
-    Blocking b;
-    b.n_blk = 22;
-    b.c_blk = 16;
-    b.cp_blk = 16;
-    ASSERT_TRUE(v1.store("some_v1_problem", b));
-  }
-  select::WisdomV2Store reloaded(f.path());
-  const auto rec = reloaded.lookup("reduced_shape");
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->precision, Precision::kBf16);
-  EXPECT_EQ(rec->blocking.f_blk, 2);
-  const auto v1b = reloaded.lookup_v1("some_v1_problem");
-  ASSERT_TRUE(v1b.has_value());
-  EXPECT_EQ(v1b->n_blk, 22);
 }
 
 TEST(WisdomPrecision, StalePrecisionEntryIsAMiss) {

@@ -1,9 +1,8 @@
 // ondwin::rpc coverage: wire-format round trips and rejection of
 // malformed frames and mismatched frame shapes, bitwise identity of
 // unix-socket serving vs direct execution, mixed in-proc + socket batch
-// merging through the shared batcher, admission-control shedding, client
-// reconnect, and consistent-hash placement / failover in the shard
-// router.
+// merging through the shared batcher, admission-control shedding and
+// client reconnect.
 #include "rpc/rpc_server.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "engine_parker.h"
 #include "obs/trace.h"
 #include "rpc/rpc_client.h"
-#include "rpc/shard_router.h"
 #include "util/aligned.h"
 #include "util/rng.h"
 
@@ -837,99 +835,6 @@ TEST(RpcLoopback, TracedRequestChainsClientAndServerSpans) {
       << "serve tier span missing from the trace";
   EXPECT_GE(count("serve.queue_wait", false), 1);
 
-  rpc.stop();
-}
-
-// ----------------------------------------------------------- shard router
-
-TEST(RpcRouter, PlacementIsDeterministicAndReplicated) {
-  ShardRouterOptions opt;
-  opt.replication = 2;
-  ShardRouter router(opt);
-  for (const char* name : {"alpha", "bravo", "charlie"}) {
-    RpcClientOptions co;
-    co.unix_path = str_cat("/tmp/ondwin_absent_", name, ".sock");
-    router.add_backend(name, co);
-  }
-  ASSERT_EQ(router.backend_count(), 3u);
-
-  const std::vector<std::string> a = router.replicas("conv");
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_NE(a[0], a[1]);
-  EXPECT_EQ(router.replicas("conv"), a);  // stable
-
-  // Different keys spread: across a few keys at least two distinct
-  // primaries must appear (vnodes make a single-owner ring vanishingly
-  // unlikely with 3 backends x 64 points).
-  std::vector<std::string> primaries;
-  for (const char* key : {"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}) {
-    primaries.push_back(router.replicas(key)[0]);
-  }
-  bool spread = false;
-  for (const std::string& p : primaries) {
-    if (p != primaries[0]) spread = true;
-  }
-  EXPECT_TRUE(spread);
-
-  // Removing a replica remaps the key to surviving backends only.
-  router.remove_backend(a[0]);
-  const std::vector<std::string> after = router.replicas("conv");
-  ASSERT_EQ(after.size(), 2u);
-  EXPECT_NE(after[0], a[0]);
-  EXPECT_NE(after[1], a[0]);
-}
-
-// A dead primary fails over to the live replica; a served answer (even a
-// shed) never triggers a failover.
-TEST(RpcRouter, FailsOverFromDeadPrimary) {
-  Fixture fx;
-  const std::string live_path = test_socket_path("router");
-  RpcServerOptions so;
-  so.unix_path = live_path;
-  RpcServer rpc(fx.server, so);
-  rpc.start();
-
-  // Probe ring order with throwaway endpoints, then wire the FIRST
-  // replica of "conv" to a dead path and the second to the live server —
-  // the failover is then deterministic.
-  ShardRouterOptions opt;
-  opt.replication = 2;
-  std::vector<std::string> order;
-  {
-    ShardRouter probe(opt);
-    for (const char* name : {"alpha", "bravo"}) {
-      RpcClientOptions co;
-      co.unix_path = "/tmp/ondwin_absent_probe.sock";
-      probe.add_backend(name, co);
-    }
-    order = probe.replicas("conv");
-    ASSERT_EQ(order.size(), 2u);
-  }
-
-  ShardRouter router(opt);
-  {
-    RpcClientOptions dead;
-    dead.unix_path = test_socket_path("router_dead");  // nothing listens
-    dead.max_retries = 0;
-    router.add_backend(order[0], dead);
-    RpcClientOptions live;
-    live.unix_path = live_path;
-    router.add_backend(order[1], live);
-  }
-  ASSERT_EQ(router.replicas("conv"), order);  // same names → same ring
-
-  AlignedBuffer<float> input;
-  fill_random(input, fx.sin, 0x11);
-  RpcResponse r = router.infer("conv", input.data(), fx.sin);
-  ASSERT_TRUE(r.ok()) << r.error;
-  const std::vector<float> want = fx.expected(input);
-  EXPECT_EQ(
-      std::memcmp(r.output.data(), want.data(), fx.sout * sizeof(float)),
-      0);
-
-  u64 failovers = 0;
-  for (const auto& b : router.stats()) failovers += b.failovers;
-  EXPECT_EQ(failovers, 1u);
   rpc.stop();
 }
 

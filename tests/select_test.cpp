@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "baseline/direct_conv.h"
@@ -144,6 +145,101 @@ TEST(SelectConfig, ModelOnlyModeMeasuresNothingAndIsNotPersisted) {
   // Unmeasured guesses must not poison the wisdom cache.
   select::WisdomV2Store store(f.path());
   EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(SelectConfig, ColdSelectionWritesNoV1Line) {
+  // select_config is the only wisdom writer, and it writes !v2 (and !cal)
+  // lines only — the tuner it runs for each Winograd candidate persists
+  // nothing.
+  TempFile f;
+  select::SelectOptions opts;
+  opts.plan.wisdom_path = f.path();
+  opts.plan.threads = 1;
+  opts.budget_seconds = 0.2;
+  opts.top_k = 2;
+  const select::SelectedConfig sel = select::select_config(small_shape(), opts);
+  EXPECT_FALSE(sel.from_wisdom);
+  std::ifstream in(f.path());
+  std::string line;
+  int v2_lines = 0;
+  while (std::getline(in, line)) {
+    ASSERT_EQ(line.rfind('!', 0), 0u) << "non-tagged line: " << line;
+    if (line.rfind("!v2 ", 0) == 0) ++v2_lines;
+  }
+  EXPECT_EQ(v2_lines, 1);
+  EXPECT_EQ(select::WisdomV2Store(f.path()).v1_size(), 0u);
+}
+
+TEST(SelectConfig, AlternatingPrecisionsHitFromTheThirdCall) {
+  // Records are keyed by (shape, requested precision): an fp32 selection
+  // does not evict the bf16 one, so a process alternating the two
+  // measures each once.
+  TempFile f;
+  const ConvShape s = small_shape();
+  select::SelectOptions opts;
+  opts.plan.wisdom_path = f.path();
+  opts.plan.threads = 1;
+  opts.budget_seconds = 0.2;
+  opts.top_k = 2;
+  const Precision order[] = {Precision::kFp32, Precision::kBf16,
+                             Precision::kFp32, Precision::kBf16};
+  for (int call = 0; call < 4; ++call) {
+    opts.plan.precision = order[call];
+    const select::SelectedConfig sel = select::select_config(s, opts);
+    if (call < 2) {
+      EXPECT_FALSE(sel.from_wisdom) << "call " << call + 1;
+      EXPECT_GT(sel.measured, 0) << "call " << call + 1;
+    } else {
+      EXPECT_TRUE(sel.from_wisdom) << "call " << call + 1;
+      EXPECT_EQ(sel.measured, 0) << "call " << call + 1;
+    }
+  }
+  EXPECT_EQ(select::WisdomV2Store(f.path()).size(), 2u);
+}
+
+TEST(SelectConfig, RecordsAPlanWouldRejectAreMisses) {
+  // Hand-edited or foreign records whose blocking ConvPlan rejects — a
+  // legacy v1 line with c_blk 17, a v2 line with c_blk 48 for C = 32 —
+  // must not throw at plan construction: both are misses, the selection
+  // re-runs, and its record replaces the bad v2 one.
+  ConvShape s = small_shape();
+  s.in_channels = 32;
+  s.out_channels = 32;
+  ConvProblem p;
+  p.shape = s;
+  p.tile_m = {2, 2};
+  TempFile f;
+  {
+    std::ofstream out(f.path());
+    out << wisdom_key(p) << " 6 17 16\n";
+    out << "!v2 " << select::shape_key(s) << " winograd 2x2 6 48 16 0\n";
+  }
+  select::SelectOptions opts;
+  opts.plan.wisdom_path = f.path();
+  opts.plan.threads = 1;
+  opts.budget_seconds = 0.2;
+  opts.max_m = 2;  // F(2x2) alone, the tile the v1 line is keyed on
+  opts.allow_direct = false;
+  opts.allow_fft = false;
+
+  std::unique_ptr<select::AutoConv> conv;
+  ASSERT_NO_THROW(conv = select::plan_auto(s, opts));
+  EXPECT_FALSE(conv->config().from_wisdom);
+  EXPECT_GT(conv->config().measured, 0);
+  ASSERT_NE(conv->winograd_plan(), nullptr);
+  EXPECT_EQ(s.in_channels % conv->winograd_plan()->blocking().c_blk, 0);
+
+  const auto rec = select::WisdomV2Store(f.path()).lookup(select::shape_key(s));
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->blocking.c_blk, conv->config().blocking.c_blk);
+  EXPECT_TRUE(ConvPlan::choose_blocking(p, rec->blocking, Precision::kFp32)
+                  .has_value());
+
+  // The rewritten record now serves the next call.
+  std::unique_ptr<select::AutoConv> again;
+  ASSERT_NO_THROW(again = select::plan_auto(s, opts));
+  EXPECT_TRUE(again->config().from_wisdom);
+  EXPECT_EQ(again->config().measured, 0);
 }
 
 TEST(SelectConfig, RejectsUnblockedChannelCounts) {
